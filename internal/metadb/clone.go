@@ -33,10 +33,14 @@ func (db *DB) Clone() *DB {
 // that need the journal to cover the adopted state should Checkpoint
 // afterwards.  Neither database's lock is held while the other is
 // locked, so any locking discipline of the caller's stays intact.
+// Every memoized curve of the receiver is dropped.
 func (db *DB) CopyFrom(src *DB) {
 	c := src.Clone()
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
 	db.mu.Lock()
+	defer db.mu.Unlock()
 	db.runs, db.datasets, db.lifecycles = c.runs, c.datasets, c.lifecycles
 	db.samples, db.constants = c.samples, c.constants
-	db.mu.Unlock()
+	db.curves = nil
 }

@@ -10,9 +10,15 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/storage"
 	"repro/internal/vtime"
 	"repro/internal/wal"
 )
+
+// ErrClosed is returned by every mutator of a database whose journal
+// has been closed: the mutation is neither journaled nor applied.  It
+// wraps storage.ErrClosed.
+var ErrClosed = fmt.Errorf("metadb: journal closed: %w", storage.ErrClosed)
 
 // Journal record types.  Payloads are JSON, one mutation per record,
 // matching the mutator that produced them.
@@ -71,11 +77,17 @@ func OpenJournal(opts wal.Options) (*DB, error) {
 
 // Journaled reports whether mutations are being written through a
 // journal.
-func (db *DB) Journaled() bool { return db.log != nil }
+func (db *DB) Journaled() bool {
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
+	return db.log != nil
+}
 
 // JournalStats returns the journal's counters; ok is false when the
 // database is not journal-backed.
 func (db *DB) JournalStats() (st wal.Stats, ok bool) {
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
 	if db.log == nil {
 		return wal.Stats{}, false
 	}
@@ -84,16 +96,20 @@ func (db *DB) JournalStats() (st wal.Stats, ok bool) {
 
 // Checkpoint compacts the journal: the current tables become the
 // snapshot baseline and the records they summarize are removed.  The
-// database stays locked across the marshal and the compaction so the
-// snapshot covers exactly the journaled history.  No-op without a
-// journal.
+// writer lock is held across the snapshot and the compaction, so the
+// snapshot covers exactly the journaled history; the tables are only
+// read-locked while they are copied, so readers keep running.  No-op
+// without a journal.
 func (db *DB) Checkpoint() error {
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
 	if db.log == nil {
 		return nil
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	data, err := json.Marshal(db.snapshotLocked())
+	db.mu.RLock()
+	snap := db.snapshotLocked()
+	db.mu.RUnlock()
+	data, err := json.Marshal(snap)
 	if err != nil {
 		return fmt.Errorf("metadb checkpoint: %w", err)
 	}
@@ -101,35 +117,59 @@ func (db *DB) Checkpoint() error {
 }
 
 // CloseJournal syncs and closes the journal.  Mutations after this
-// fail.  No-op without a journal.
+// fail with ErrClosed; reads keep working.  It waits for an in-flight
+// commit to finish.  No-op without a journal.
 func (db *DB) CloseJournal() error {
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
 	if db.log == nil {
 		return nil
 	}
 	err := db.log.Close()
-	db.log = nil
+	db.log, db.closed = nil, true
 	return err
 }
 
-// journalLocked writes one mutation record and waits for the fsync
-// barrier.  Called with db.mu held so journal order equals apply
-// order.  Without a journal it is free.
-func (db *DB) journalLocked(typ byte, v any) error {
-	if db.log == nil {
-		return nil
+// mutate is the path of every mutator but DeleteLifecycle: through the
+// replicator when one is installed, otherwise journaled and applied by
+// commitLocked.
+func (db *DB) mutate(p *vtime.Proc, typ byte, v any, apply func()) error {
+	if ok, err := db.replicate(p, typ, v); ok {
+		return err
 	}
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("metadb journal: %w", err)
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
+	return db.commitLocked(typ, v, apply)
+}
+
+// commitLocked journals one mutation, waits for the fsync barrier and
+// only then applies it under the table lock.  Caller holds db.wmu, so
+// journal order equals apply order.  A failed commit is not applied.
+func (db *DB) commitLocked(typ byte, v any, apply func()) error {
+	var data []byte
+	if db.log != nil {
+		var err error
+		if data, err = json.Marshal(v); err != nil {
+			return fmt.Errorf("metadb journal: %w", err)
+		}
 	}
-	return db.journalRawLocked(typ, data)
+	if err := db.journalRawLocked(typ, data); err != nil {
+		return err
+	}
+	db.mu.Lock()
+	apply()
+	db.mu.Unlock()
+	return nil
 }
 
 // journalRawLocked appends one pre-marshalled record and waits for the
-// fsync barrier.  Called with db.mu held.  Without a journal it is
-// free.
+// fsync barrier.  Caller holds db.wmu.  Without a journal it is free;
+// after CloseJournal it fails with ErrClosed.
 func (db *DB) journalRawLocked(typ byte, data []byte) error {
 	if db.log == nil {
+		if db.closed {
+			return ErrClosed
+		}
 		return nil
 	}
 	if err := db.log.Append(typ, data); err != nil {
@@ -191,16 +231,19 @@ func (db *DB) replicate(p *vtime.Proc, typ byte, v any) (handled bool, err error
 // if the mutation had happened here.  The replicator hook is not
 // consulted — the record has already been through the leader's log.
 func (db *DB) ApplyRecord(typ byte, data []byte) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
 	if err := db.journalRawLocked(typ, data); err != nil {
 		return err
 	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	return db.apply(wal.Record{Type: typ, Data: data})
 }
 
-// install replaces the tables from a decoded snapshot (recovery path;
-// no locking — the database is not yet shared).
+// install replaces the tables from a decoded snapshot and drops every
+// memoized curve.  Caller holds both locks, or the database is not yet
+// shared (recovery).
 func (db *DB) install(snap snapshot) {
 	db.runs = make(map[string]Run, len(snap.Runs))
 	for _, r := range snap.Runs {
@@ -216,9 +259,11 @@ func (db *DB) install(snap snapshot) {
 	}
 	db.samples = snap.Samples
 	db.constants = snap.Constants
+	db.curves = nil
 }
 
-// apply replays one journal record against the tables (recovery path).
+// apply replays one journal record against the tables: recovery, and
+// replicated records through ApplyRecord (which holds db.mu).
 func (db *DB) apply(r wal.Record) error {
 	switch r.Type {
 	case recPutRun:
@@ -238,7 +283,7 @@ func (db *DB) apply(r wal.Record) error {
 		if err := json.Unmarshal(r.Data, &s); err != nil {
 			return err
 		}
-		db.samples = append(db.samples, s)
+		db.addSampleLocked(s)
 	case recReplaceSamples:
 		var p replacePayload
 		if err := json.Unmarshal(r.Data, &p); err != nil {

@@ -13,6 +13,19 @@
 // need to provide a run-time library on top of the native interface"):
 // each operation charges a small constant from model.MetaDB2000 when a
 // virtual clock is supplied.
+//
+// Two locks keep it cheap under a journal (see journal.go).  A writer
+// lock serialises mutators across marshal, append and fsync, so
+// journal order is apply order; the table lock is taken for writing
+// only for the in-memory apply after the fsync has returned.  Readers
+// take the table lock alone, so no read waits on the durability
+// barrier, and a row becomes visible only once it is durable; a failed
+// commit is never applied.  Checkpoint holds the writer lock and copies
+// the tables under the table lock's read side.  The predictor's
+// transfer-time curves (eq. 2's t_j(s)) are memoized per (resource,
+// op) under the table lock and rebuilt on the first read after a
+// mutation of that key, so warm admission pricing neither scans the
+// samples nor allocates.
 package metadb
 
 import (
@@ -118,11 +131,20 @@ const (
 type DB struct {
 	params model.Params
 
+	// wmu is the writer lock: every local mutator holds it from the
+	// marshal through the fsync and the apply, and it guards the
+	// journal handle.  Lock order is wmu before mu.
+	wmu sync.Mutex
 	// log, when set, is the write-ahead journal every mutation goes
 	// through before it is applied (see journal.go / OpenJournal).
 	log *wal.Log
+	// closed is set by CloseJournal: mutators then fail with ErrClosed
+	// instead of applying unjournaled.
+	closed bool
 
-	mu         sync.RWMutex
+	// mu is the table lock, held for writing only across in-memory
+	// applies and cache fills.
+	mu sync.RWMutex
 	// repl, when set, diverts every mutation through a cluster
 	// replicated log instead of the local journal/apply path (see
 	// Replicator in journal.go).
@@ -132,7 +154,12 @@ type DB struct {
 	lifecycles map[string]Lifecycle
 	samples    []PerfSample
 	constants  []PerfConstant
+	// curves memoizes the averaged, size-sorted curve of each
+	// (resource, op); an absent key is rebuilt from samples on read.
+	curves map[curveKey][]PerfSample
 }
+
+type curveKey struct{ resource, op string }
 
 // New returns an empty database.
 func New() *DB {
@@ -160,16 +187,7 @@ func (db *DB) PutRun(p *vtime.Proc, r Run) error {
 		return fmt.Errorf("metadb: run with empty ID")
 	}
 	db.charge(p, model.Write)
-	if ok, err := db.replicate(p, recPutRun, r); ok {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.journalLocked(recPutRun, r); err != nil {
-		return err
-	}
-	db.runs[r.ID] = r
-	return nil
+	return db.mutate(p, recPutRun, r, func() { db.runs[r.ID] = r })
 }
 
 // GetRun fetches a run row.
@@ -203,16 +221,7 @@ func (db *DB) PutDataset(p *vtime.Proc, d Dataset) error {
 		return fmt.Errorf("metadb: dataset with empty key (%q, %q)", d.RunID, d.Name)
 	}
 	db.charge(p, model.Write)
-	if ok, err := db.replicate(p, recPutDataset, d); ok {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.journalLocked(recPutDataset, d); err != nil {
-		return err
-	}
-	db.datasets[dsKey(d.RunID, d.Name)] = d
-	return nil
+	return db.mutate(p, recPutDataset, d, func() { db.datasets[dsKey(d.RunID, d.Name)] = d })
 }
 
 // GetDataset fetches one dataset row.
@@ -273,16 +282,7 @@ func (db *DB) PutLifecycle(p *vtime.Proc, l Lifecycle) error {
 		return fmt.Errorf("metadb: lifecycle with empty key (%q, %q)", l.Pool, l.Path)
 	}
 	db.charge(p, model.Write)
-	if ok, err := db.replicate(p, recPutLifecycle, l); ok {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.journalLocked(recPutLifecycle, l); err != nil {
-		return err
-	}
-	db.lifecycles[lcKey(l.Pool, l.Path)] = l
-	return nil
+	return db.mutate(p, recPutLifecycle, l, func() { db.lifecycles[lcKey(l.Pool, l.Path)] = l })
 }
 
 // GetLifecycle fetches one lifecycle row.
@@ -298,25 +298,31 @@ func (db *DB) GetLifecycle(p *vtime.Proc, pool, path string) (Lifecycle, error) 
 }
 
 // DeleteLifecycle removes a lifecycle row (dataset deleted from every
-// tier).  Deleting a missing row is a no-op.
+// tier).  Deleting a missing row is a no-op and journals nothing: the
+// presence check is repeated under the writer lock, so concurrent
+// deletes of one row append one record.
 func (db *DB) DeleteLifecycle(p *vtime.Proc, pool, path string) error {
 	db.charge(p, model.Write)
-	db.mu.RLock()
-	_, present := db.lifecycles[lcKey(pool, path)]
-	db.mu.RUnlock()
-	if !present {
+	if !db.hasLifecycle(pool, path) {
 		return nil
 	}
-	if ok, err := db.replicate(p, recDelLifecycle, lifecycleKey{Pool: pool, Path: path}); ok {
+	k := lifecycleKey{Pool: pool, Path: path}
+	if ok, err := db.replicate(p, recDelLifecycle, k); ok {
 		return err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.journalLocked(recDelLifecycle, lifecycleKey{Pool: pool, Path: path}); err != nil {
-		return err
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
+	if !db.hasLifecycle(pool, path) {
+		return nil
 	}
-	delete(db.lifecycles, lcKey(pool, path))
-	return nil
+	return db.commitLocked(recDelLifecycle, k, func() { delete(db.lifecycles, lcKey(pool, path)) })
+}
+
+func (db *DB) hasLifecycle(pool, path string) bool {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	_, ok := db.lifecycles[lcKey(pool, path)]
+	return ok
 }
 
 // Lifecycles returns a pool's lifecycle rows sorted by path; an empty
@@ -344,16 +350,14 @@ func (db *DB) Lifecycles(p *vtime.Proc, pool string) []Lifecycle {
 // without a journal; with one, nil means the sample is crash-durable.
 func (db *DB) AddSample(p *vtime.Proc, s PerfSample) error {
 	db.charge(p, model.Write)
-	if ok, err := db.replicate(p, recAddSample, s); ok {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.journalLocked(recAddSample, s); err != nil {
-		return err
-	}
+	return db.mutate(p, recAddSample, s, func() { db.addSampleLocked(s) })
+}
+
+// addSampleLocked is the in-memory half of AddSample, shared with
+// journal replay.  Caller holds db.mu.
+func (db *DB) addSampleLocked(s PerfSample) {
 	db.samples = append(db.samples, s)
-	return nil
+	delete(db.curves, curveKey{s.Resource, s.Op})
 }
 
 // ReplaceSamples atomically replaces the whole performance curve for
@@ -365,16 +369,8 @@ func (db *DB) AddSample(p *vtime.Proc, s PerfSample) error {
 // disagree with the arguments are rewritten to match.
 func (db *DB) ReplaceSamples(p *vtime.Proc, resource, op string, samples []PerfSample) error {
 	db.charge(p, model.Write)
-	if ok, err := db.replicate(p, recReplaceSamples, replacePayload{Resource: resource, Op: op, Samples: samples}); ok {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.journalLocked(recReplaceSamples, replacePayload{Resource: resource, Op: op, Samples: samples}); err != nil {
-		return err
-	}
-	db.replaceSamplesLocked(resource, op, samples)
-	return nil
+	return db.mutate(p, recReplaceSamples, replacePayload{Resource: resource, Op: op, Samples: samples},
+		func() { db.replaceSamplesLocked(resource, op, samples) })
 }
 
 // replaceSamplesLocked is the in-memory half of ReplaceSamples, shared
@@ -391,46 +387,74 @@ func (db *DB) replaceSamplesLocked(resource, op string, samples []PerfSample) {
 		s.Resource, s.Op = resource, op
 		db.samples = append(db.samples, s)
 	}
+	delete(db.curves, curveKey{resource, op})
 }
 
 // Samples returns the samples for (resource, op) sorted by size.
 // Duplicate sizes are averaged, matching how PTool's repeated
-// measurements are consumed by the predictor.
+// measurements are consumed by the predictor.  The result is the
+// caller's own copy.
 func (db *DB) Samples(p *vtime.Proc, resource, op string) []PerfSample {
 	db.charge(p, model.Read)
+	c := db.Curve(resource, op)
+	out := make([]PerfSample, len(c))
+	copy(out, c)
+	return out
+}
+
+// Curve is Samples without the copy and without the access charge: it
+// returns the memoized curve shared by every reader, which callers
+// must not modify.  A mutation of (resource, op) never writes into a
+// curve already handed out; it drops the memo, and the next read
+// builds a fresh one.  This is the predictor's per-request path, and
+// on a warm curve it does not allocate.
+func (db *DB) Curve(resource, op string) []PerfSample {
+	k := curveKey{resource, op}
 	db.mu.RLock()
-	defer db.mu.RUnlock()
-	bySize := make(map[int64][]float64)
+	c, ok := db.curves[k]
+	db.mu.RUnlock()
+	if ok {
+		return c
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if c, ok := db.curves[k]; ok {
+		return c
+	}
+	c = db.buildCurveLocked(resource, op)
+	if db.curves == nil {
+		db.curves = make(map[curveKey][]PerfSample)
+	}
+	db.curves[k] = c
+	return c
+}
+
+// buildCurveLocked averages the (resource, op) samples per size, in
+// insertion order, and sorts the result by size.  Caller holds db.mu.
+func (db *DB) buildCurveLocked(resource, op string) []PerfSample {
+	var rows []PerfSample
 	for _, s := range db.samples {
 		if s.Resource == resource && s.Op == op {
-			bySize[s.Size] = append(bySize[s.Size], s.Seconds)
+			rows = append(rows, s)
 		}
 	}
-	out := make([]PerfSample, 0, len(bySize))
-	for size, secs := range bySize {
-		var sum float64
-		for _, v := range secs {
-			sum += v
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i].Size < rows[j].Size })
+	out := rows[:0]
+	for i := 0; i < len(rows); {
+		size, sum, j := rows[i].Size, 0.0, i
+		for ; j < len(rows) && rows[j].Size == size; j++ {
+			sum += rows[j].Seconds
 		}
-		out = append(out, PerfSample{Resource: resource, Op: op, Size: size, Seconds: sum / float64(len(secs))})
+		out = append(out, PerfSample{Resource: resource, Op: op, Size: size, Seconds: sum / float64(j-i)})
+		i = j
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Size < out[j].Size })
 	return out
 }
 
 // SetConstant inserts or replaces an eq. (1) constant.
 func (db *DB) SetConstant(p *vtime.Proc, c PerfConstant) error {
 	db.charge(p, model.Write)
-	if ok, err := db.replicate(p, recSetConstant, c); ok {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.journalLocked(recSetConstant, c); err != nil {
-		return err
-	}
-	db.setConstantLocked(c)
-	return nil
+	return db.mutate(p, recSetConstant, c, func() { db.setConstantLocked(c) })
 }
 
 // setConstantLocked is the in-memory half of SetConstant, shared with
@@ -544,6 +568,8 @@ func (db *DB) LoadFS(fsys vfs.FS, path string) error {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return fmt.Errorf("metadb load %s: %w", path, err)
 	}
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.install(snap)

@@ -39,7 +39,7 @@ func NewDB(meta *metadb.DB) *DB { return &DB{meta: meta} }
 // Piecewise-linear between sample sizes; linear extrapolation beyond
 // the ends using the nearest segment's slope.
 func (db *DB) Unit(resource, op string, size int64) (float64, error) {
-	samples := db.meta.Samples(nil, resource, op)
+	samples := db.meta.Curve(resource, op)
 	switch len(samples) {
 	case 0:
 		return 0, fmt.Errorf("predict: no samples for %s/%s — run PTool first", resource, op)

@@ -398,3 +398,43 @@ func TestPredictConnPerResourceOp(t *testing.T) {
 		t.Fatalf("two-reader run total = %v s, want %v (conn charged once)", got.Total.Seconds(), want)
 	}
 }
+
+// warmCurveDB is a database with one measured-looking curve whose
+// memo has been built.
+func warmCurveDB(tb testing.TB) *DB {
+	meta := metadb.New()
+	for i := 0; i < 12; i++ {
+		size := int64(1024) << uint(i)
+		meta.AddSample(nil, metadb.PerfSample{Resource: "r", Op: "read", Size: size, Seconds: 0.002 + float64(size)/40e6})
+	}
+	pdb := NewDB(meta)
+	if _, err := pdb.Unit("r", "read", 4096); err != nil {
+		tb.Fatal(err)
+	}
+	return pdb
+}
+
+// Admission pricing calls Unit on every request: on a warm curve it
+// must not allocate.
+func TestUnitWarmCurveDoesNotAllocate(t *testing.T) {
+	pdb := warmCurveDB(t)
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := pdb.Unit("r", "read", 4096); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Unit on a warm curve made %.1f allocations per call, want 0", allocs)
+	}
+}
+
+func BenchmarkPredictUnit(b *testing.B) {
+	pdb := warmCurveDB(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pdb.Unit("r", "read", int64(4096+i%8192)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

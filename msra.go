@@ -501,8 +501,8 @@ const (
 // OpenJournaledMetaDB opens (replaying if it exists, creating if not) a
 // journal-backed meta-data database: every mutation is appended and
 // fsynced before it is applied, Checkpoint compacts the journal to a
-// snapshot, and CloseJournal detaches it.  This is what `srbd -journal`
-// uses.
+// snapshot, and CloseJournal closes it (later mutations fail with
+// metadb.ErrClosed).  This is what `srbd -journal` uses.
 func OpenJournaledMetaDB(opts WALOptions) (*MetaDB, error) { return metadb.OpenJournal(opts) }
 
 // CheckWAL verifies a journal directory without replaying into a

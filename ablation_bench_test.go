@@ -393,14 +393,16 @@ func BenchmarkAblationSuperfileFiles(b *testing.B) {
 // serialized and pipelined wire disciplines (the Now/AdvanceTo
 // handshake replays every op at its logical instant either way); what
 // the pair of benchmarks exposes is the real-time concurrency win of
-// the multiplexed protocol.
+// the multiplexed protocol.  The serialized baseline pins the client to
+// one connection and has the ranks share one lock held around every
+// request, so exactly one request is ever in flight.
 //
 // The sim runs in scaled mode, so the eq. (1) costs of the served disk
 // array become real wall-clock waits — the regime the wire layer
 // actually operates in.  The array has many independent channels: with
 // one request in flight the channels idle while ranks take turns on the
 // wire; multiplexed, the ranks' operations overlap across them.
-func benchSRBNet(b *testing.B, opts ...srbnet.Option) {
+func benchSRBNet(b *testing.B, serialized bool) {
 	// 1 virtual second = 1 wall millisecond: a 4 KiB remote call
 	// (~45 ms virtual) waits ~45 µs of real time.
 	sim := vtime.NewScaled(1e-3)
@@ -422,6 +424,10 @@ func benchSRBNet(b *testing.B, opts ...srbnet.Option) {
 	}
 	defer srv.Close()
 	srv.SetLogf(func(string, ...any) {})
+	var opts []srbnet.Option
+	if serialized {
+		opts = append(opts, srbnet.WithPoolSize(1))
+	}
 	client := srbnet.NewClient(srv.Addr(), "shen", "nwu", "sdsc-array", storage.KindRemoteDisk, opts...)
 	defer client.Close()
 
@@ -436,7 +442,15 @@ func benchSRBNet(b *testing.B, opts ...srbnet.Option) {
 	procs := make([]*vtime.Proc, ranks)
 	handles := make([]storage.Handle, ranks)
 	payloads := make([][]byte, ranks)
+	// Each rank holds its lock around every request: one shared lock
+	// when serialized, an uncontended lock per rank when pipelined.
+	locks := make([]*sync.Mutex, ranks)
 	for r := 0; r < ranks; r++ {
+		if r == 0 || !serialized {
+			locks[r] = new(sync.Mutex)
+		} else {
+			locks[r] = locks[0]
+		}
 		procs[r] = sim.NewProc(fmt.Sprintf("rank%d-io", r))
 		h, err := sess.Open(procs[r], fmt.Sprintf("bench/rank%d", r), storage.ModeCreate)
 		if err != nil {
@@ -460,11 +474,17 @@ func benchSRBNet(b *testing.B, opts ...srbnet.Option) {
 				got := make([]byte, chunk)
 				for k := 0; k < chunksPerRank; k++ {
 					off := int64(k * chunk)
-					if _, err := handles[r].WriteAt(procs[r], payloads[r], off); err != nil {
+					locks[r].Lock()
+					_, err := handles[r].WriteAt(procs[r], payloads[r], off)
+					locks[r].Unlock()
+					if err != nil {
 						errs[r] = err
 						return
 					}
-					if _, err := handles[r].ReadAt(procs[r], got, off); err != nil {
+					locks[r].Lock()
+					_, err = handles[r].ReadAt(procs[r], got, off)
+					locks[r].Unlock()
+					if err != nil {
 						errs[r] = err
 						return
 					}
@@ -489,18 +509,11 @@ func benchSRBNet(b *testing.B, opts ...srbnet.Option) {
 	}
 }
 
-// BenchmarkSRBNetSerialized is the wire-protocol-v1 baseline: one
-// private connection with one request in flight, so the 8 ranks take
+// BenchmarkSRBNetSerialized is the one-in-flight baseline: one
+// connection and one request on it at a time, so the 8 ranks take
 // turns on the wire.
 func BenchmarkSRBNetSerialized(b *testing.B) {
-	benchSRBNet(b, srbnet.WithSerialized())
-}
-
-// BenchmarkSRBNetPipelinedV2 is the gob ablation: tagged multiplexing
-// with the v2 gob codec instead of v3 binary frames, so the delta to
-// BenchmarkSRBNetPipelined is the codec alone.
-func BenchmarkSRBNetPipelinedV2(b *testing.B) {
-	benchSRBNet(b, srbnet.WithWireV2())
+	benchSRBNet(b, true)
 }
 
 // BenchmarkSRBNetPipelined is the default wire: tagged frames from all
@@ -509,5 +522,5 @@ func BenchmarkSRBNetPipelinedV2(b *testing.B) {
 // writev-coalesced small frames).  CI gates allocs/op on this
 // benchmark — see .github/workflows/ci.yml.
 func BenchmarkSRBNetPipelined(b *testing.B) {
-	benchSRBNet(b)
+	benchSRBNet(b, false)
 }

@@ -149,20 +149,16 @@ func run(scale experiments.Scale, exp, jsonDir string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "== Wire protocol v3: binary frames vs gob vs serialized (%d ranks × %d chunks) ==\nscaled sim, %d B chunks:  serialized %8.1f ms   gob pipelined %8.1f ms   v3 pipelined %8.1f ms   (%.1f× over serialized; virtual costs identical)\ncodec-bound, %d B chunks: gob %8.1f ms   v3 %8.1f ms   (%.2f× over gob)\n\n",
+		fmt.Fprintf(out, "== Wire protocol v3: pipelined vs serialized (%d ranks × %d chunks) ==\nscaled sim, %d B chunks:  serialized %8.1f ms   pipelined %8.1f ms   (%.1f× over serialized; virtual costs identical)\ncodec-bound, %d B chunks: pipelined %8.1f ms\n\n",
 			res.Ranks, res.ChunksPerRank, res.ChunkBytes,
-			float64(res.Serialized.Microseconds())/1000, float64(res.PipelinedV2.Microseconds())/1000,
+			float64(res.Serialized.Microseconds())/1000,
 			float64(res.Pipelined.Microseconds())/1000, res.Speedup(),
-			res.WireChunkBytes, float64(res.WireV2.Microseconds())/1000,
-			float64(res.WireV3.Microseconds())/1000, res.V3OverV2())
+			res.WireChunkBytes, float64(res.WireV3.Microseconds())/1000)
 		err = writeJSON(jsonDir, "srbnet", scale, map[string]float64{
-			"speedup_x":       res.Speedup(),
-			"v3_over_v2_x":    res.V3OverV2(),
-			"serialized_ms":   float64(res.Serialized.Microseconds()) / 1000,
-			"pipelined_v2_ms": float64(res.PipelinedV2.Microseconds()) / 1000,
-			"pipelined_ms":    float64(res.Pipelined.Microseconds()) / 1000,
-			"wire_v2_ms":      float64(res.WireV2.Microseconds()) / 1000,
-			"wire_v3_ms":      float64(res.WireV3.Microseconds()) / 1000,
+			"speedup_x":     res.Speedup(),
+			"serialized_ms": float64(res.Serialized.Microseconds()) / 1000,
+			"pipelined_ms":  float64(res.Pipelined.Microseconds()) / 1000,
+			"wire_v3_ms":    float64(res.WireV3.Microseconds()) / 1000,
 		}, res)
 		if err != nil {
 			return err

@@ -42,7 +42,6 @@ func TestCommittedBenchHeadlines(t *testing.T) {
 	gates := map[string][]headlineGate{
 		"srbnet": {
 			{"speedup_x", gt, 1},
-			{"v3_over_v2_x", gt, 1},
 		},
 		"qos": {
 			{"isolation_x", gt, 1},

@@ -42,7 +42,7 @@
 // staging-cartridge lane when the scheduler is on), GCs the pool
 // against the -hsm-policy watermarks, and repacks fragmented
 // cartridges.  -hsm-capacity sets the pool bytes the watermarks divide
-// and -hsm-policy tunes the engine (see msra.ParsePolicy), e.g.
+// and -hsm-policy tunes the engine (see hsm.ParsePolicy), e.g.
 //
 //	srbd -hsm -hsm-capacity 1073741824 -hsm-policy cold=48h,scan=1h,high=0.85,low=0.6
 //
@@ -55,7 +55,7 @@
 // logical broker: each broker listens on its own address (-peers, or
 // -addr's port incremented), owns a hash-sharded slice of the
 // namespace (-shards, default N), and replicates the shared meta-data
-// through a leader-leased log.  Clients built with msra.WithCluster
+// through a leader-leased log.  Clients built with srbnet.WithCluster
 // route by shard and follow redirects; the -queue-bytes admission
 // budget becomes cluster-wide, leased to brokers in proportion to the
 // shards they own.  -hsm requires -journal (lifecycle state must be

@@ -14,31 +14,27 @@ import (
 	"repro/internal/vtime"
 )
 
-// SRBNetResult compares the wall-clock cost of the serialized (wire
-// protocol v1), gob-pipelined (v2) and binary-framed (v3) disciplines
-// for the same multi-rank workload.  The virtual-time cost is
-// identical under all three: the Now/AdvanceTo handshake replays every
-// operation at its logical instant regardless of how frames share the
-// TCP stream.
+// SRBNetResult compares the wall-clock cost of the serialized (one
+// request in flight) and pipelined disciplines for the same multi-rank
+// workload.  The virtual-time cost is identical under both: the
+// Now/AdvanceTo handshake replays every operation at its logical
+// instant regardless of how frames share the TCP stream.
 type SRBNetResult struct {
 	Ranks         int
 	ChunksPerRank int
 	ChunkBytes    int
 	Serialized    time.Duration // wall clock, one request in flight
-	PipelinedV2   time.Duration // wall clock, tagged multiplexing over gob
-	Pipelined     time.Duration // wall clock, tagged multiplexing over v3 binary frames
+	Pipelined     time.Duration // wall clock, tagged multiplexing
 
 	// The codec-bound leg: the same multi-rank workload with larger
 	// chunks over a purely virtual sim, so device waits cost no wall
-	// time and encode/decode/copy on the wire dominates.  This is
-	// where the v3-vs-gob ablation delta is measurable; in the scaled
+	// time and encode/decode/copy on the wire dominates; in the scaled
 	// legs above, the eq. (1) waits drown the codec in noise.
 	WireChunkBytes int
-	WireV2         time.Duration // codec-bound wall clock, gob
-	WireV3         time.Duration // codec-bound wall clock, v3 binary frames
+	WireV3         time.Duration // codec-bound wall clock
 }
 
-// Speedup is the pipelined (v3) wall-clock win over the serialized
+// Speedup is the pipelined wall-clock win over the serialized
 // discipline.
 func (r SRBNetResult) Speedup() float64 {
 	if r.Pipelined <= 0 {
@@ -47,26 +43,18 @@ func (r SRBNetResult) Speedup() float64 {
 	return r.Serialized.Seconds() / r.Pipelined.Seconds()
 }
 
-// V3OverV2 is the binary codec's wall-clock win over gob at the same
-// pipelining discipline, measured on the codec-bound leg — the wire-v3
-// ablation delta.
-func (r SRBNetResult) V3OverV2() float64 {
-	if r.WireV3 <= 0 {
-		return 0
-	}
-	return r.WireV2.Seconds() / r.WireV3.Seconds()
-}
-
 // SRBNetConcurrency runs 8 ranks of chunked writes and reads through
 // one shared srbnet session against a multi-channel remote-disk array,
-// once with the serialized v1 discipline and once with v2 multiplexing,
-// and reports the wall time of each.  The sim runs in scaled mode so
+// once serialized and once pipelined, and reports the wall time of
+// each.  The serialized baseline is the pipelined client pinned to one
+// connection with a lock held around every rank's request, so exactly
+// one request is ever in flight.  The sim runs in scaled mode so
 // the eq. (1) costs become real waits — the regime the wire layer
 // operates in; with one request in flight the array's channels idle
 // while ranks take turns on the wire.
 func SRBNetConcurrency() (SRBNetResult, error) {
 	res := SRBNetResult{Ranks: 8, ChunksPerRank: 8, ChunkBytes: 4096, WireChunkBytes: 64 << 10}
-	run := func(sim *vtime.Sim, chunkBytes int, opts ...srbnet.Option) (time.Duration, error) {
+	run := func(sim *vtime.Sim, chunkBytes int, serialized bool) (time.Duration, error) {
 		broker := srb.NewBroker()
 		be, err := device.New(device.Config{
 			Name: "sdsc-array", Kind: storage.KindRemoteDisk,
@@ -85,6 +73,21 @@ func SRBNetConcurrency() (SRBNetResult, error) {
 		}
 		defer srv.Close()
 		srv.SetLogf(func(string, ...any) {})
+		// Each rank holds its lock around every request.  Serialized
+		// ranks share one lock over a one-connection pool; pipelined
+		// ranks each own an uncontended lock.
+		var opts []srbnet.Option
+		locks := make([]*sync.Mutex, res.Ranks)
+		for r := range locks {
+			if r == 0 || !serialized {
+				locks[r] = new(sync.Mutex)
+			} else {
+				locks[r] = locks[0]
+			}
+		}
+		if serialized {
+			opts = append(opts, srbnet.WithPoolSize(1))
+		}
 		client := srbnet.NewClient(srv.Addr(), "shen", "nwu", "sdsc-array", storage.KindRemoteDisk, opts...)
 		defer client.Close()
 
@@ -113,11 +116,17 @@ func SRBNetConcurrency() (SRBNetResult, error) {
 				buf := make([]byte, chunkBytes)
 				for k := 0; k < res.ChunksPerRank; k++ {
 					off := int64(k * chunkBytes)
-					if _, err := handles[r].WriteAt(procs[r], buf, off); err != nil {
+					locks[r].Lock()
+					_, err := handles[r].WriteAt(procs[r], buf, off)
+					locks[r].Unlock()
+					if err != nil {
 						errs[r] = err
 						return
 					}
-					if _, err := handles[r].ReadAt(procs[r], buf, off); err != nil {
+					locks[r].Lock()
+					_, err = handles[r].ReadAt(procs[r], buf, off)
+					locks[r].Unlock()
+					if err != nil {
 						errs[r] = err
 						return
 					}
@@ -146,38 +155,23 @@ func SRBNetConcurrency() (SRBNetResult, error) {
 	// pipelining discipline is what shows.
 	scaled := func() *vtime.Sim { return vtime.NewScaled(1e-3) }
 	var err error
-	if res.Serialized, err = run(scaled(), res.ChunkBytes, srbnet.WithSerialized()); err != nil {
+	if res.Serialized, err = run(scaled(), res.ChunkBytes, true); err != nil {
 		return res, err
 	}
-	if res.PipelinedV2, err = run(scaled(), res.ChunkBytes, srbnet.WithWireV2()); err != nil {
+	if res.Pipelined, err = run(scaled(), res.ChunkBytes, false); err != nil {
 		return res, err
 	}
-	if res.Pipelined, err = run(scaled(), res.ChunkBytes); err != nil {
-		return res, err
-	}
-	// Codec-bound legs: a purely virtual sim makes the eq. (1) waits
-	// free, so wall clock is encode/decode/copy on the wire — the
-	// regime where the v3 codec's pooled frames and writev batching
-	// are the difference.  Run each leg a few times and keep the best
-	// to shed scheduler noise.
-	best := func(chunkBytes int, opts ...srbnet.Option) (time.Duration, error) {
-		var min time.Duration
-		for i := 0; i < 3; i++ {
-			d, err := run(vtime.NewVirtual(), chunkBytes, opts...)
-			if err != nil {
-				return 0, err
-			}
-			if min == 0 || d < min {
-				min = d
-			}
+	// Codec-bound leg: a purely virtual sim makes the eq. (1) waits
+	// free, so wall clock is encode/decode/copy on the wire.  Keep the
+	// best of a few runs to shed scheduler noise.
+	for i := 0; i < 3; i++ {
+		d, err := run(vtime.NewVirtual(), res.WireChunkBytes, false)
+		if err != nil {
+			return res, err
 		}
-		return min, nil
-	}
-	if res.WireV2, err = best(res.WireChunkBytes, srbnet.WithWireV2()); err != nil {
-		return res, err
-	}
-	if res.WireV3, err = best(res.WireChunkBytes); err != nil {
-		return res, err
+		if res.WireV3 == 0 || d < res.WireV3 {
+			res.WireV3 = d
+		}
 	}
 	return res, nil
 }

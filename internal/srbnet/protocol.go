@@ -8,15 +8,14 @@
 // in-process or across a socket.
 //
 // Frames are length-prefixed binary messages (wire protocol v3; see
-// wire.go for the layout) with gob retained behind WithWireV2 as the
-// ablation baseline.  Virtual time crosses
-// the wire explicitly: each request carries the client process's logical
-// clock, the server replays the operation against its shared device
-// resources starting at that instant, and the response returns the
-// completion time which the client clock advances to.  Device contention
-// between clients is therefore preserved even over TCP.
+// wire.go for the layout).  Virtual time crosses the wire explicitly:
+// each request carries the client process's logical clock, the server
+// replays the operation against its shared device resources starting
+// at that instant, and the response returns the completion time which
+// the client clock advances to.  Device contention between clients is
+// therefore preserved even over TCP.
 //
-// Wire protocol v2 multiplexes: each request carries a client-assigned
+// The protocol multiplexes: each request carries a client-assigned
 // Tag echoed by the response, so many RPCs are in flight on one
 // connection and responses return in completion order.  Because every
 // operation is replayed at the caller's logical instant, reordering on
@@ -29,13 +28,12 @@
 // call sequences into single round trips without changing their
 // virtual-time cost.
 //
-// Wire protocol v3 keeps the v2 framing discipline but swaps the codec:
-// hand-rolled little-endian frames over pooled buffers (zero-alloc on
-// the steady-state read/write path), writev-coalesced sends, and
-// chunk-streamed opPutFile/opGetFile bodies so a whole file is never
-// materialized as one wire message on either side.  Both codecs share
-// one server — a v3 client announces itself with a 4-byte magic
-// preamble, anything else is served as gob.
+// The codec is hand-rolled little-endian frames over pooled buffers
+// (zero-alloc on the steady-state read/write path), writev-coalesced
+// sends, and chunk-streamed opPutFile/opGetFile bodies so a whole file
+// is never materialized as one wire message on either side.  A client
+// opens every connection with a 4-byte magic preamble that names the
+// protocol version; the server closes any connection that does not.
 package srbnet
 
 import (
@@ -80,8 +78,7 @@ type wireVec struct {
 // request is one client→server frame.
 type request struct {
 	Op opCode
-	// Flags carries the v3 chunk-streaming bits (flagChunked/flagLast);
-	// always zero on the gob wire.
+	// Flags carries the chunk-streaming bits (flagChunked/flagLast).
 	Flags uint8
 	Tag   uint64 // client-assigned; echoed by the response
 
@@ -104,8 +101,7 @@ type request struct {
 	Data     []byte
 	Vecs     []wireVec // vectored ops
 
-	// Non-wire bookkeeping (unexported fields are invisible to gob and
-	// skipped by the v3 codec).
+	// Non-wire bookkeeping, skipped by the codec.
 	pooled           bool          // came from reqPool; putRequest recycles it
 	frame            *frameBuf     // v3 decode: the buffer Data/Vecs alias
 	stream           chan *request // server side: inbound opChunk frames
@@ -249,7 +245,7 @@ func decodeErr(code errCode, msg string) error {
 type response struct {
 	Tag uint64 // echo of the request's tag
 	Err errCode
-	// Flags carries the v3 chunk-streaming bits for opGetFile bodies.
+	// Flags carries the chunk-streaming bits for opGetFile bodies.
 	Flags  uint8
 	ErrMsg string
 	// RetryAfterNs carries the scheduler's honor-after hint alongside

@@ -1,8 +1,6 @@
 // Wire protocol v3: hand-rolled length-prefixed binary framing.
 //
-// gob's reflection-driven codec was the per-frame tax on every hot
-// path (and allocated a fresh []byte per payload).  v3 replaces it
-// with fixed little-endian frames:
+// Every frame has the same little-endian layout:
 //
 //	u32  body length (everything after this prefix; capped on decode)
 //	u8   op (request) / err code (response)
@@ -21,8 +19,7 @@
 //
 // A frame whose declared body length exceeds the configurable cap is
 // rejected before any allocation, so a corrupt or hostile length
-// prefix cannot OOM either side — it poisons the connection exactly
-// like a desynced gob stream did.
+// prefix cannot OOM either side — it poisons the connection.
 package srbnet
 
 import (
@@ -52,10 +49,10 @@ const (
 	frameRetainBytes = 1 << 20
 )
 
-// wireMagic is written by a v3 client immediately after dialing.  The
-// server sniffs it to pick the codec per connection: a gob stream's
-// first byte is a uvarint message length whose multi-byte form starts
-// at 0xF8, so 0xF5 can never open a valid gob stream.
+// wireMagic is written by the client immediately after dialing.  The
+// server checks it before reading any frame and closes a connection
+// that opens with anything else, so a peer speaking another protocol
+// (or an older srbnet) is refused instead of misparsed.
 var wireMagic = [4]byte{0xF5, 'S', 'R', '3'}
 
 // Frame flags.
@@ -153,7 +150,7 @@ func putResponse(r *response) {
 }
 
 // release returns the response, its backing frame, and its data buffer
-// to their pools.  Safe on gob-decoded responses (no-op).
+// to their pools.
 func (resp *response) release() {
 	if resp == nil {
 		return
@@ -166,7 +163,7 @@ func (resp *response) release() {
 
 // ownData returns response data the caller may keep: frame-backed
 // slices are copied out (the frame is about to be recycled), while
-// gob-decoded or assembled buffers are already heap-owned.
+// assembled buffers are already heap-owned.
 func (resp *response) ownData() []byte {
 	if resp.frame == nil || len(resp.Data) == 0 {
 		return resp.Data

@@ -5,8 +5,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -248,7 +251,7 @@ func TestOversizeFramePoisonsServer(t *testing.T) {
 }
 
 // TestCorruptFramePoisonsServer: a well-framed but undecodable body
-// poisons the connection exactly as a desynced gob stream did.
+// poisons the connection.
 func TestCorruptFramePoisonsServer(t *testing.T) {
 	sim := vtime.NewVirtual()
 	srv, _ := newChunkedServer(t, sim, 1024)
@@ -266,8 +269,63 @@ func TestCorruptFramePoisonsServer(t *testing.T) {
 	}
 }
 
+// TestServerRejectsNonV3Preamble: a connection that does not open with
+// the wire magic is logged and closed unserved, and the listener keeps
+// serving v3 clients afterwards.
+func TestServerRejectsNonV3Preamble(t *testing.T) {
+	sim := vtime.NewVirtual()
+	srv, client := newServer(t, sim)
+	logs := make(chan string, 16) // ample for one refused connection; overflow is dropped
+	srv.SetLogf(func(format string, args ...any) {
+		select {
+		case logs <- fmt.Sprintf(format, args...):
+		default:
+		}
+	})
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET / HTTP/1.0\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("server kept a non-v3 connection open (read n=%d, err=%v)", n, err)
+	}
+	select {
+	case line := <-logs:
+		if !strings.Contains(line, "preamble") {
+			t.Fatalf("log line %q does not name the preamble", line)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("refused connection was not logged")
+	}
+
+	p := sim.NewProc("p")
+	sess, err := client.Connect(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := sess.Open(p, "after/refusal", storage.ModeCreate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.WriteAt(p, []byte("v3"), 0); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 2)
+	if _, err := h.ReadAt(p, got, 0); err != nil || string(got) != "v3" {
+		t.Fatalf("read back %q, %v", got, err)
+	}
+	if err := sess.Close(p); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // fakeV3Server accepts v3 connections and answers every request with
-// reply(req) — the v3 mirror of the gob desync harness.
+// reply(req), so client-side stream faults can be staged.
 func fakeV3Server(t *testing.T, reply func(req *request) *response) net.Listener {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")

@@ -115,7 +115,7 @@ func WithMaxFrame(n int) Option {
 
 // Client reaches a remote srbnet server.  It implements storage.Backend.
 // Sessions share a pool of multiplexed TCP connections: every request
-// carries a tag, a writer goroutine per connection encodes frames and
+// carries a tag, a frameWriter per connection encodes frames and
 // coalesces queued ones into one writev, and a reader goroutine
 // routes responses back to per-tag waiters, so many ranks keep RPCs in
 // flight simultaneously.
@@ -213,21 +213,29 @@ func (c *Client) dial() (*mux, error) {
 	if err != nil {
 		return nil, fmt.Errorf("srbnet client: dial %s: %w: %w", c.addr, errConnFailed, err)
 	}
-	m := &mux{
-		c:       c,
-		conn:    conn,
-		sendq:   make(chan *request, 64),
-		stop:    make(chan struct{}),
-		waiters: make(map[uint64]chan *response),
-	}
 	if _, err := conn.Write(wireMagic[:]); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("srbnet client: preamble %s: %w: %w", c.addr, errConnFailed, err)
 	}
-	m.br = bufio.NewReader(conn)
-	go m.writeLoopV3()
-	go m.readLoopV3()
-	return m, nil
+	return c.newMux(conn), nil
+}
+
+// newMux starts the writer and reader goroutines of one connection.
+func (c *Client) newMux(conn net.Conn) *mux {
+	m := &mux{
+		c:       c,
+		conn:    conn,
+		br:      bufio.NewReader(conn),
+		sendq:   make(chan *request, 64),
+		stop:    make(chan struct{}),
+		waiters: make(map[uint64]chan *response),
+	}
+	w := newFrameWriter(conn, m.sendq, m.stop, func(err error) {
+		m.fail(fmt.Errorf("srbnet client: send: %w: %w", errConnFailed, err))
+	})
+	go w.run()
+	go m.readLoop()
+	return m
 }
 
 // pickMux returns a pooled connection for one request: an idle member
@@ -434,65 +442,12 @@ func (m *mux) failErr() error {
 	return fmt.Errorf("srbnet client: %w", storage.ErrClosed)
 }
 
-// writeLoopV3 is the v3 connection's only encoder.  Queued frames are
-// encoded into pooled buffers and coalesced into one vectored write
-// (net.Buffers → writev), with each frame's bulk Data riding as its
-// own iovec so large payloads are never copied into the frame buffer.
-func (m *mux) writeLoopV3() {
-	var iov [][]byte
-	var metas []*frameBuf
-	var sent []*request
-	for {
-		var req *request
-		select {
-		case req = <-m.sendq:
-		case <-m.stop:
-			return
-		}
-		iov, metas, sent = iov[:0], metas[:0], sent[:0]
-		for req != nil {
-			f := getFrame()
-			data := encodeRequest(f, req)
-			iov = append(iov, f.b)
-			if len(data) > 0 {
-				iov = append(iov, data)
-			}
-			metas = append(metas, f)
-			// Snapshot the release decision and publish the sent flag
-			// now: once the writev lands, a fast round trip may let the
-			// caller recycle its request before this loop runs again.
-			stream := req.releaseAfterSend
-			atomic.StoreUint32(&req.sent, 1)
-			if stream {
-				sent = append(sent, req)
-			}
-			select {
-			case req = <-m.sendq:
-			default:
-				req = nil
-			}
-		}
-		bufs := net.Buffers(iov)
-		_, err := bufs.WriteTo(m.conn)
-		for _, f := range metas {
-			putFrame(f)
-		}
-		for _, r := range sent {
-			putRequest(r)
-		}
-		if err != nil {
-			m.fail(fmt.Errorf("srbnet client: send: %w: %w", errConnFailed, err))
-			return
-		}
-	}
-}
-
-// readLoopV3 is the v3 connection's only decoder.  A frame error — a
+// readLoop is the connection's only decoder.  A frame error — a
 // truncated read, a length prefix over the cap, a corrupt body, an
 // unknown tag — means the stream is desynced and poisons the
 // connection.  Chunked opGetFile frames keep their waiter registered
 // until the flagLast frame arrives.
-func (m *mux) readLoopV3() {
+func (m *mux) readLoop() {
 	for {
 		f, err := readFrame(m.br, m.c.maxFrame)
 		if err != nil {

@@ -223,13 +223,6 @@ func (ss *srvSession) handle(id uint64) (storage.Handle, bool) {
 	return h, ok
 }
 
-// connWriter gives handlers on one connection access to its response
-// queue, so a chunk-streamed opGetFile can push data frames ahead of
-// its final response.
-type connWriter struct {
-	respq chan *response
-}
-
 // serveConn owns one TCP connection.  The magic preamble is the
 // version check: a peer that does not open with it speaks some other
 // protocol (or an older srbnet), so the connection is refused rather
@@ -256,25 +249,31 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 	br.Discard(len(wireMagic))
-	s.serveConnV3(conn, br)
+	s.serveFrames(conn, br)
 }
 
-// serveConnV3 is the wire-v3 serve loop.  The decode loop reads pooled
-// frames and dispatches each request to its own handler goroutine;
-// opChunk continuation frames are routed to their stream's channel
-// instead (owned by the streamed-put handler).  Any frame error — a
-// truncated read, a length over the cap, a corrupt body, a chunk for an
-// unknown stream — poisons the whole connection.
-func (s *Server) serveConnV3(conn net.Conn, br *bufio.Reader) {
+// serveFrames is the connection's serve loop.  The decode loop reads
+// pooled frames and dispatches each request to its own handler
+// goroutine; opChunk continuation frames are routed to their stream's
+// channel instead (owned by the streamed-put handler).  Any frame
+// error — a truncated read, a length over the cap, a corrupt body, a
+// chunk for an unknown stream — poisons the whole connection.
+// Handlers queue their responses on respq for the connection's
+// frameWriter, which keeps draining the queue after a write error so
+// a handler never blocks on a dead connection.
+func (s *Server) serveFrames(conn net.Conn, br *bufio.Reader) {
 	respq := make(chan *response, 64)
+	w := newFrameWriter(conn, respq, nil, func(err error) {
+		s.logf("srbnet: write to %s: %v", conn.RemoteAddr(), err)
+		conn.Close()
+	})
 	var wwg sync.WaitGroup
 	wwg.Add(1)
 	go func() {
 		defer wwg.Done()
-		s.writeLoopV3(conn, respq)
+		w.run()
 	}()
 
-	wc := &connWriter{respq: respq}
 	var hwg sync.WaitGroup
 	streams := make(map[uint64]chan *request)
 	for {
@@ -319,7 +318,7 @@ func (s *Server) serveConnV3(conn net.Conn, br *bufio.Reader) {
 		hwg.Add(1)
 		go func() {
 			defer hwg.Done()
-			respq <- s.handle(req, wc)
+			respq <- s.handle(req, respq)
 			req.release()
 		}()
 	}
@@ -332,58 +331,6 @@ func (s *Server) serveConnV3(conn net.Conn, br *bufio.Reader) {
 	hwg.Wait()
 	close(respq)
 	wwg.Wait()
-}
-
-// writeLoopV3 is the v3 connection's only encoder.  Queued responses
-// are encoded into pooled frame buffers and coalesced into one
-// vectored write (net.Buffers → writev), with each response's bulk
-// Data riding as its own iovec.  Frames, data buffers and response
-// structs all return to their pools once the writev lands.
-func (s *Server) writeLoopV3(conn net.Conn, respq chan *response) {
-	var iov [][]byte
-	var metas []*frameBuf
-	var done []*response
-	broken := false
-	for resp := range respq {
-		if broken {
-			resp.release() // drain so handlers never block
-			continue
-		}
-		iov, metas, done = iov[:0], metas[:0], done[:0]
-		for resp != nil {
-			f := getFrame()
-			data := encodeResponse(f, resp)
-			iov = append(iov, f.b)
-			if len(data) > 0 {
-				iov = append(iov, data)
-			}
-			metas = append(metas, f)
-			done = append(done, resp)
-			select {
-			case r, ok := <-respq:
-				if !ok {
-					resp = nil
-				} else {
-					resp = r
-				}
-			default:
-				resp = nil
-			}
-		}
-		bufs := net.Buffers(iov)
-		_, err := bufs.WriteTo(conn)
-		for _, f := range metas {
-			putFrame(f)
-		}
-		for _, r := range done {
-			r.release()
-		}
-		if err != nil {
-			s.logf("srbnet: write to %s: %v", conn.RemoteAddr(), err)
-			broken = true
-			conn.Close()
-		}
-	}
 }
 
 // drainStream consumes chunk frames up to the stream's final frame (or
@@ -416,8 +363,10 @@ func (s *Server) lookup(id uint64) *srvSession {
 // first pass admission control and then wait for their grant, so the
 // device acquisitions inside execute happen in scheduler order.  The
 // response struct and its data buffers come from the pools; the
-// connection writer releases them after the writev.
-func (s *Server) handle(req *request, wc *connWriter) *response {
+// connection writer releases them after the writev.  respq is that
+// writer's queue: a chunk-streamed opGetFile pushes its data frames
+// onto it ahead of the final response.
+func (s *Server) handle(req *request, respq chan<- *response) *response {
 	resp := getResponse()
 	resp.Tag = req.Tag
 	if req.Op == opConnect {
@@ -448,7 +397,7 @@ func (s *Server) handle(req *request, wc *connWriter) *response {
 		if q, ok := schedRequest(ss, req); ok {
 			var out *response
 			err := s.sched.Do(proc, q, func() error {
-				out = s.execute(ss, proc, req, resp, wc)
+				out = s.execute(ss, proc, req, resp, respq)
 				return nil
 			})
 			if err != nil {
@@ -467,7 +416,7 @@ func (s *Server) handle(req *request, wc *connWriter) *response {
 			return out
 		}
 	}
-	return s.execute(ss, proc, req, resp, wc)
+	return s.execute(ss, proc, req, resp, respq)
 }
 
 // pathRouted reports whether an opcode addresses the namespace by
@@ -537,7 +486,7 @@ func schedRequest(ss *srvSession, req *request) (qos.Request, bool) {
 }
 
 // execute runs one already-admitted request against the session.
-func (s *Server) execute(ss *srvSession, proc *vtime.Proc, req *request, resp *response, wc *connWriter) *response {
+func (s *Server) execute(ss *srvSession, proc *vtime.Proc, req *request, resp *response, respq chan<- *response) *response {
 	fail := func(err error) *response {
 		resp.Err, resp.ErrMsg = encodeErr(err)
 		resp.Now = proc.Now()
@@ -668,7 +617,7 @@ func (s *Server) execute(ss *srvSession, proc *vtime.Proc, req *request, resp *r
 		}
 		size := h.Size()
 		if size > int64(s.chunkBytes) {
-			return s.streamGetFile(proc, req, resp, h, size, wc)
+			return s.streamGetFile(proc, req, resp, h, size, respq)
 		}
 		if size > int64(s.maxFrame) {
 			h.Close(proc)
@@ -774,7 +723,7 @@ func (s *Server) executePutStream(ss *srvSession, proc *vtime.Proc, req *request
 // carries the completion time.  Chunk buffers come from the frame pool
 // and are released by the connection writer after each writev, so peak
 // server memory is a few chunks regardless of file size.
-func (s *Server) streamGetFile(proc *vtime.Proc, req *request, resp *response, h storage.Handle, size int64, wc *connWriter) *response {
+func (s *Server) streamGetFile(proc *vtime.Proc, req *request, resp *response, h storage.Handle, size int64, respq chan<- *response) *response {
 	failLast := func(err error) *response {
 		resp.Err, resp.ErrMsg = encodeErr(err)
 		resp.Flags = flagChunked | flagLast
@@ -808,7 +757,7 @@ func (s *Server) streamGetFile(proc *vtime.Proc, req *request, resp *response, h
 		cf.Data = buf[:rn]
 		cf.dbuf = db
 		cf.Now = proc.Now()
-		wc.respq <- cf
+		respq <- cf
 	}
 	if err := h.Close(proc); err != nil {
 		return failLast(err)

@@ -12,7 +12,9 @@
 // Frame buffers, request structs and response structs are all
 // sync.Pool-recycled, so the steady-state opRead/opWrite/opReadV/
 // opWriteV encode+decode path allocates nothing (pinned by
-// TestHotFrameCodecZeroAlloc).  Writers coalesce queued frames into a
+// TestHotFrameCodecZeroAlloc), and neither do readFrame and a writer
+// flush (TestReadFrameZeroAlloc, TestWriterFlushZeroAlloc).  Each
+// connection's frameWriter (writer.go) coalesces queued frames into a
 // single net.Buffers writev; readers hand out subslices of the pooled
 // frame, and the consumer releases the frame once the bytes are copied
 // out.
@@ -384,13 +386,19 @@ func decodeResponse(body []byte, resp *response) error {
 
 // readFrame reads one length-prefixed frame body into a pooled buffer.
 // The declared length is checked against max BEFORE any allocation, so
-// a malicious prefix cannot OOM the reader.
+// a malicious prefix cannot OOM the reader.  The length prefix is
+// peeked in br's own buffer, so reading a frame allocates nothing once
+// the frame pool is warm.
 func readFrame(br *bufio.Reader, max int) (*frameBuf, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	hdr, err := br.Peek(4)
+	if err != nil {
+		if len(hdr) > 0 && errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF // a torn length prefix is corruption, not a clean close
+		}
 		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
+	n := int(binary.LittleEndian.Uint32(hdr))
+	br.Discard(4) // cannot fail: Peek buffered the 4 bytes
 	if n > max {
 		return nil, fmt.Errorf("%w: declared %d > cap %d", errFrameTooBig, n, max)
 	}

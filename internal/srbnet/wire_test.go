@@ -185,6 +185,15 @@ func TestReadFrameCapsDeclaredLength(t *testing.T) {
 	if _, err := readFrame(bufio.NewReader(&buf), 1<<20); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated frame: %v", err)
 	}
+	// So is a torn length prefix; a close between frames is a clean EOF.
+	buf.Reset()
+	buf.Write([]byte{1, 2})
+	if _, err := readFrame(bufio.NewReader(&buf), 1<<20); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("torn length prefix: %v", err)
+	}
+	if _, err := readFrame(bufio.NewReader(&buf), 1<<20); err != io.EOF {
+		t.Fatalf("close between frames: %v, want io.EOF", err)
+	}
 }
 
 // TestHotFrameCodecZeroAlloc pins the tentpole claim: the steady-state

@@ -9,7 +9,9 @@
 //
 // With -journal-dir, the performance database is replayed from an srbd
 // write-ahead journal (stop the daemon first — the journal is single-
-// writer) and /metrics additionally exports the msra_wal_* family.
+// writer) and /metrics serves the journaled metadb.DB's collector, the
+// msra_wal_* families.  Measured on the fly, /metrics serves the trace
+// metrics (msra_native_*) and their calibration join (msra_calib_*).
 package main
 
 import (
@@ -45,7 +47,7 @@ func main() {
 			log.Fatalf("journal replay failed: %v (inspect with srbd -fsck -journal-dir %s)", err, *journalDir)
 		}
 		pdb = predict.NewDB(meta)
-		opts = append(opts, webui.WithWAL(meta.JournalStats))
+		opts = append(opts, webui.WithCollectors(meta))
 	} else if *dbPath != "" {
 		meta := metadb.New()
 		if err := meta.Load(*dbPath); err != nil {

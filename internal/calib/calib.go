@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"repro/internal/metadb"
+	"repro/internal/metrics"
 	"repro/internal/predict"
 	"repro/internal/ptool"
 	"repro/internal/trace"
@@ -208,6 +209,26 @@ func (e *Engine) Residuals(snap []trace.OpStats) []Residual {
 		return out[i].Op < out[j].Op
 	})
 	return out
+}
+
+// Collector returns the calibration join over m as a
+// metrics.Collector: the msra_calib_* families carry each (resource
+// class, op) residual's measured/predicted ratio and its drift flag.
+func (e *Engine) Collector(m *trace.Metrics) metrics.Collector { return joinCollector{e, m} }
+
+type joinCollector struct {
+	e *Engine
+	m *trace.Metrics
+}
+
+func (j joinCollector) Collect() ([]metrics.Family, error) {
+	ratio := metrics.Gauge("msra_calib_ratio", "Measured/predicted cost ratio per resource class and op.")
+	drift := metrics.Gauge("msra_calib_drift", "Whether the residual left the calibration band (1 = drifted).")
+	for _, r := range j.e.Residuals(j.m.Snapshot()) {
+		ratio.Samples = append(ratio.Samples, metrics.Float(r.Ratio, "resource", r.Resource, "op", r.Op))
+		drift.Samples = append(drift.Samples, metrics.Bool(r.Drift, "resource", r.Resource, "op", r.Op))
+	}
+	return []metrics.Family{ratio, drift}, nil
 }
 
 // Drifted filters residuals to those outside the band.

@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"repro/internal/metadb"
+	"repro/internal/metrics"
 	"repro/internal/predict"
 	"repro/internal/qos"
 	"repro/internal/stage"
@@ -871,6 +872,39 @@ func (e *Engine) Stats() Stats {
 	}
 	st.RecallP95 = e.recallP95()
 	return st
+}
+
+// Collect implements metrics.Collector: the Stats snapshot as the
+// msra_hsm_* families — dataset census by state, pool occupancy against
+// capacity, migration/recall/GC/repack counters and the pool hit ratio
+// inputs.
+func (e *Engine) Collect() ([]metrics.Family, error) {
+	st := e.Stats()
+	return []metrics.Family{
+		metrics.Gauge("msra_hsm_datasets", "Tracked datasets by lifecycle state.",
+			metrics.Int(st.Resident, "state", StateResident),
+			metrics.Int(st.Dual, "state", StateDual),
+			metrics.Int(st.Migrated, "state", StateMigrated)),
+		metrics.Gauge("msra_hsm_pool_occupancy_bytes", "Disk-pool bytes held by resident copies and the recall cache.", metrics.Int(st.PoolUsed)),
+		metrics.Gauge("msra_hsm_pool_capacity_bytes", "Disk-pool capacity the watermarks apply to.", metrics.Int(st.PoolCapacity)),
+		metrics.Counter("msra_hsm_migrations_total", "Datasets migrated disk to tape.", metrics.Int(st.Migrations)),
+		metrics.Counter("msra_hsm_migrated_bytes_total", "Bytes written to tape by migration.", metrics.Int(st.MigratedBytes)),
+		metrics.Counter("msra_hsm_migrate_failures_total", "Migration attempts rolled back to resident.", metrics.Int(st.MigrateFailures)),
+		metrics.Counter("msra_hsm_requeued_total", "Migration batch members requeued by a cartridge layout change.", metrics.Int(st.Requeued)),
+		metrics.Counter("msra_hsm_recalls_total", "Tape recalls served through the staging engine.", metrics.Int(st.Recalls)),
+		metrics.Counter("msra_hsm_recalled_bytes_total", "Bytes recalled from tape.", metrics.Int(st.RecalledBytes)),
+		metrics.Gauge("msra_hsm_recall_p95_seconds", "Rolling p95 of recall latency.", metrics.Float(st.RecallP95.Seconds())),
+		metrics.Counter("msra_hsm_gc_runs_total", "Watermark GC passes.", metrics.Int(st.GCRuns)),
+		metrics.Counter("msra_hsm_gc_purged_total", "Disk copies purged by GC (tape copy retained).", metrics.Int(st.GCPurged)),
+		metrics.Counter("msra_hsm_gc_bytes_total", "Disk bytes reclaimed by GC.", metrics.Int(st.GCBytes)),
+		metrics.Counter("msra_hsm_gc_stalls_total", "GC passes that could not reach the low watermark (all pinned or migration failing).", metrics.Int(st.GCStalls)),
+		metrics.Counter("msra_hsm_repacks_total", "Cartridge repacks (tape.Reclaim) triggered by the waste policy.", metrics.Int(st.Repacks)),
+		metrics.Counter("msra_hsm_repack_bytes_total", "Dead cartridge bytes reclaimed by repacks.", metrics.Int(st.RepackBytes)),
+		metrics.Counter("msra_hsm_reads_total", "Engine reads, by pool hit or tape miss.",
+			metrics.Int(st.Hits, "result", "hit"),
+			metrics.Int(st.Misses, "result", "miss")),
+		metrics.Counter("msra_hsm_mounts_total", "Robot mounts on the engine's tape library.", metrics.Int(st.Mounts)),
+	}, nil
 }
 
 // noteRecall records one recall latency, halving the window at the

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/metrics"
 	"repro/internal/storage"
 	"repro/internal/vtime"
 	"repro/internal/wal"
@@ -92,6 +93,33 @@ func (db *DB) JournalStats() (st wal.Stats, ok bool) {
 		return wal.Stats{}, false
 	}
 	return db.log.Stats(), true
+}
+
+// Collect implements metrics.Collector: the journal counters as the
+// msra_wal_* families — append/fsync/rotation/compaction counters,
+// replay cost, torn-tail bytes and the last checkpoint timestamp.  A
+// database without a journal reports no families.
+func (db *DB) Collect() ([]metrics.Family, error) {
+	st, ok := db.JournalStats()
+	if !ok {
+		return nil, nil
+	}
+	var checkpoint int64
+	if !st.LastCheckpoint.IsZero() {
+		checkpoint = st.LastCheckpoint.Unix()
+	}
+	return []metrics.Family{
+		metrics.Counter("msra_wal_appends_total", "Journal records appended.", metrics.Int(st.Appends)),
+		metrics.Counter("msra_wal_append_bytes_total", "Journal frame bytes appended.", metrics.Int(st.AppendBytes)),
+		metrics.Counter("msra_wal_fsyncs_total", "Fsync barriers issued on journal segments.", metrics.Int(st.Syncs)),
+		metrics.Counter("msra_wal_rotations_total", "Segment rotations.", metrics.Int(st.Rotations)),
+		metrics.Counter("msra_wal_compactions_total", "Snapshot+truncate compactions.", metrics.Int(st.Compactions)),
+		metrics.Gauge("msra_wal_segments", "Live journal segment files.", metrics.Int(st.Segments)),
+		metrics.Gauge("msra_wal_replay_records", "Records replayed when the journal was opened.", metrics.Int(st.ReplayRecords)),
+		metrics.Gauge("msra_wal_replay_seconds", "Wall time recovery spent replaying the journal.", metrics.Float(st.ReplayDuration.Seconds())),
+		metrics.Gauge("msra_wal_torn_tail_bytes", "Bytes dropped from the final segment's torn tail at recovery.", metrics.Int(st.TornTailBytes)),
+		metrics.Gauge("msra_wal_last_checkpoint_timestamp_seconds", "Unix time of the last checkpoint (0 = none this process).", metrics.Int(checkpoint)),
+	}, nil
 }
 
 // Checkpoint compacts the journal: the current tables become the

@@ -25,7 +25,7 @@
 //     clients come back when the queue can take them — no retry storm);
 //   - full observability: every queue decision is recorded through
 //     internal/trace, and Stats() feeds the msra_qos_* Prometheus
-//     families in webui.
+//     families through the scheduler's metrics.Collector.
 //
 // Config.FIFO disables the fairness and batching logic while keeping
 // the same queue plumbing — the ablation baseline the experiments
@@ -40,6 +40,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/storage"
 	"repro/internal/tape"
 	"repro/internal/trace"
@@ -451,81 +452,45 @@ func tapeWrite(w *waiter) bool {
 	return w.req.Class == storage.KindRemoteTape.String() && w.req.Op == "write" && w.req.Path != ""
 }
 
-// maybeWriteBatchLocked grows the DRR winner w into a staging-cartridge
-// write batch: queued tape writes all append to the library's current
-// staging cartridge, so draining them back-to-back amortizes the mount
-// the way the read lane amortizes winds.  Members keep arrival order
-// (appends have no offsets to sort by) and the batch is stamped with
-// the current layout generation; tape.Reclaim bumps the generation, so
-// a repack concurrent with an in-flight migration batch makes
-// nextLocked abandon the remainder — members requeue at the front of
-// their tenant queues with their deficit charge refunded, and none is
-// ever granted (written) twice.
-func (s *Scheduler) maybeWriteBatchLocked(w *waiter) *waiter {
-	cands := []*waiter{w}
-	for _, name := range s.ring {
-		for _, x := range s.tenants[name].q {
-			if tapeWrite(x) && len(cands) < s.cfg.MaxBatch {
-				cands = append(cands, x)
-			}
-		}
-	}
-	if len(cands) == 1 {
+// maybeBatchLocked tries to grow the DRR winner w into a tape batch on
+// the lane w is eligible for.  Returns the first member to grant, or
+// nil to grant w itself unbatched.
+func (s *Scheduler) maybeBatchLocked(w *waiter) *waiter {
+	switch {
+	case s.cfg.Tape == nil:
 		return nil
+	case tapeWrite(w):
+		return s.writeBatchLocked(w)
+	case tapeRead(w):
+		return s.readBatchLocked(w)
 	}
-	// Detach the extra members from their tenant queues and charge
-	// their cost as if DRR had granted them now.  (w itself was already
-	// dequeued and charged by drrLocked.)
-	taken := make(map[*waiter]bool, len(cands))
-	var bytes int64
-	for _, m := range cands {
-		taken[m] = true
-		bytes += m.req.Bytes
-	}
-	for _, name := range s.ring {
-		t := s.tenants[name]
-		kept := t.q[:0]
-		for _, x := range t.q {
-			if taken[x] {
-				t.deficit -= x.cost
-			} else {
-				kept = append(kept, x)
-			}
-		}
-		t.q = kept
-	}
-	s.batch = append(s.batch[:0], cands...)
-	s.batchGen = s.cfg.Tape.Generation()
-	s.stats.Batches++
-	s.stats.Batched += int64(len(cands))
-	if s.cfg.Trace != nil {
-		s.cfg.Trace.Record(trace.Event{
-			Proc: "qos", Backend: w.req.Backend, Op: trace.OpQueueBatch,
-			Path: "staging-cartridge", Bytes: bytes,
-		})
-	}
-	first := s.batch[0]
-	s.batch = s.batch[1:]
-	return first
+	return nil
 }
 
-// maybeBatchLocked tries to grow the DRR winner w into a cartridge
-// batch: every queued tape read on w's cartridge (across all tenants,
-// up to MaxBatch) is pulled out of its queue, charged to its tenant's
-// deficit — members may drive a deficit negative, which is exactly how
-// DRR repays the advance over later rounds — and the members are
-// ordered by tape position so the drive winds monotonically.  Returns
-// the first member to grant, or nil to grant w itself unbatched.
-func (s *Scheduler) maybeBatchLocked(w *waiter) *waiter {
-	if s.cfg.Tape == nil {
+// writeBatchLocked grows w into a staging-cartridge write batch: queued
+// tape writes all append to the library's current staging cartridge, so
+// draining them back-to-back amortizes the mount the way the read lane
+// amortizes winds.  Members keep arrival order (appends have no offsets
+// to sort by).
+func (s *Scheduler) writeBatchLocked(w *waiter) *waiter {
+	members := []*waiter{w}
+	for _, name := range s.ring {
+		for _, x := range s.tenants[name].q {
+			if tapeWrite(x) && len(members) < s.cfg.MaxBatch {
+				members = append(members, x)
+			}
+		}
+	}
+	if len(members) == 1 {
 		return nil
 	}
-	if tapeWrite(w) {
-		return s.maybeWriteBatchLocked(w)
-	}
-	if !tapeRead(w) {
-		return nil
-	}
+	return s.formBatchLocked(members, s.cfg.Tape.Generation(), w.req.Backend, "staging-cartridge")
+}
+
+// readBatchLocked grows w into a cartridge batch: every queued tape
+// read on w's cartridge (across all tenants, up to MaxBatch), ordered
+// by tape position so the drive winds monotonically.
+func (s *Scheduler) readBatchLocked(w *waiter) *waiter {
 	cands := []*waiter{w}
 	for _, name := range s.ring {
 		for _, x := range s.tenants[name].q {
@@ -559,14 +524,30 @@ func (s *Scheduler) maybeBatchLocked(w *waiter) *waiter {
 	if len(batch) == 1 {
 		return nil
 	}
-	// Detach the extra members from their tenant queues and charge
-	// their cost as if DRR had granted them now.  (w itself was already
-	// dequeued and charged by drrLocked.)
-	taken := make(map[*waiter]bool, len(batch))
+	sort.SliceStable(batch, func(i, j int) bool { return batch[i].off < batch[j].off })
+	members := make([]*waiter, len(batch))
+	for i, m := range batch {
+		members[i] = m.w
+	}
+	return s.formBatchLocked(members, gen, w.req.Backend, fmt.Sprintf("cartridge%d", cart))
+}
+
+// formBatchLocked installs members, in grant order, as the tape batch
+// stamped with layout generation gen, and returns the first to grant.
+// Every member other than the DRR winner (already dequeued and charged
+// by drrLocked) is pulled out of its tenant queue and charged to its
+// tenant's deficit as if DRR had granted it now — members may drive a
+// deficit negative, which is exactly how DRR repays the advance over
+// later rounds.  tape.Reclaim bumps the generation, so a repack while
+// the batch drains makes nextLocked abandon the remainder: members
+// requeue at the front of their tenant queues with their charge
+// refunded, and none is ever granted twice.
+func (s *Scheduler) formBatchLocked(members []*waiter, gen int64, backend, path string) *waiter {
+	taken := make(map[*waiter]bool, len(members))
 	var bytes int64
-	for _, m := range batch {
-		taken[m.w] = true
-		bytes += m.w.req.Bytes
+	for _, m := range members {
+		taken[m] = true
+		bytes += m.req.Bytes
 	}
 	for _, name := range s.ring {
 		t := s.tenants[name]
@@ -580,18 +561,13 @@ func (s *Scheduler) maybeBatchLocked(w *waiter) *waiter {
 		}
 		t.q = kept
 	}
-	sort.SliceStable(batch, func(i, j int) bool { return batch[i].off < batch[j].off })
-	s.batch = s.batch[:0]
-	for _, m := range batch {
-		s.batch = append(s.batch, m.w)
-	}
+	s.batch = append(s.batch[:0], members...)
 	s.batchGen = gen
 	s.stats.Batches++
-	s.stats.Batched += int64(len(batch))
+	s.stats.Batched += int64(len(members))
 	if s.cfg.Trace != nil {
 		s.cfg.Trace.Record(trace.Event{
-			Proc: "qos", Backend: w.req.Backend, Op: trace.OpQueueBatch,
-			Path: fmt.Sprintf("cartridge%d", cart), Bytes: bytes,
+			Proc: "qos", Backend: backend, Op: trace.OpQueueBatch, Path: path, Bytes: bytes,
 		})
 	}
 	first := s.batch[0]
@@ -751,4 +727,36 @@ func (s *Scheduler) Stats() Stats {
 	}
 	sort.Slice(out.Tenants, func(i, j int) bool { return out.Tenants[i].Tenant < out.Tenants[j].Tenant })
 	return out
+}
+
+// Collect implements metrics.Collector: the Stats snapshot as the
+// msra_qos_* families — per-tenant depth, queued bytes, grant and
+// overload counters, wall wait and virtual service totals, plus the
+// in-flight gauge and the tape-batch counters.
+func (s *Scheduler) Collect() ([]metrics.Family, error) {
+	st := s.Stats()
+	n := len(st.Tenants)
+	depth, queued := make([]metrics.Sample, n), make([]metrics.Sample, n)
+	granted, overload := make([]metrics.Sample, n), make([]metrics.Sample, n)
+	wait, service := make([]metrics.Sample, n), make([]metrics.Sample, n)
+	for i, t := range st.Tenants {
+		depth[i] = metrics.Int(t.Depth, "tenant", t.Tenant)
+		queued[i] = metrics.Int(t.QueuedBytes, "tenant", t.Tenant)
+		granted[i] = metrics.Int(t.Granted, "tenant", t.Tenant)
+		overload[i] = metrics.Int(t.Overloads, "tenant", t.Tenant)
+		wait[i] = metrics.Float(t.Wait.Seconds(), "tenant", t.Tenant)
+		service[i] = metrics.Float(t.Service.Seconds(), "tenant", t.Tenant)
+	}
+	return []metrics.Family{
+		metrics.Gauge("msra_qos_inflight", "Requests currently executing under the scheduler.", metrics.Int(st.InFlight)),
+		metrics.Gauge("msra_qos_queue_depth", "Queued (not yet granted) requests per tenant.", depth...),
+		metrics.Gauge("msra_qos_queued_bytes", "Queued payload bytes per tenant.", queued...),
+		metrics.Counter("msra_qos_granted_total", "Requests granted per tenant.", granted...),
+		metrics.Counter("msra_qos_overload_total", "Requests shed by admission control per tenant.", overload...),
+		metrics.Counter("msra_qos_wait_seconds_total", "Wall time requests spent queued, per tenant.", wait...),
+		metrics.Counter("msra_qos_service_seconds_total", "Virtual service time of finished requests, per tenant.", service...),
+		metrics.Counter("msra_qos_tape_batches_total", "Cartridge batches formed by the tape lane.", metrics.Int(st.Batches)),
+		metrics.Counter("msra_qos_tape_batched_total", "Requests served through a cartridge batch.", metrics.Int(st.Batched)),
+		metrics.Counter("msra_qos_tape_batch_abandoned_total", "Batch members requeued by a layout generation change.", metrics.Int(st.BatchAbandoned)),
+	}, nil
 }

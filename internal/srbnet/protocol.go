@@ -158,31 +158,36 @@ func (e *WrongShardError) Unwrap() error { return ErrWrongShard }
 // of spinning.
 var ErrRedirectLoop = errors.New("srbnet: shard redirect loop")
 
+// errCodes pairs each sentinel-backed wire code with its sentinel, in
+// the order encodeErr tries them: the first sentinel the error wraps
+// names its code.  errNone, errOther and errWrongShard (whose message
+// is the owner address) are handled around the table.
+var errCodes = []struct {
+	code     errCode
+	sentinel error
+}{
+	{errNotExist, storage.ErrNotExist},
+	{errExist, storage.ErrExist},
+	{errReadOnly, storage.ErrReadOnly},
+	{errClosed, storage.ErrClosed},
+	{errDown, storage.ErrDown},
+	{errCapacity, storage.ErrCapacity},
+	{errBadPath, storage.ErrBadPath},
+	{errOverload, storage.ErrOverload},
+	{errAuth, srb.ErrAuth},
+	{errNoResource, srb.ErrNoResource},
+}
+
 func encodeErr(err error) (errCode, string) {
-	switch {
-	case err == nil:
+	if err == nil {
 		return errNone, ""
-	case errors.Is(err, storage.ErrNotExist):
-		return errNotExist, err.Error()
-	case errors.Is(err, storage.ErrExist):
-		return errExist, err.Error()
-	case errors.Is(err, storage.ErrReadOnly):
-		return errReadOnly, err.Error()
-	case errors.Is(err, storage.ErrClosed):
-		return errClosed, err.Error()
-	case errors.Is(err, storage.ErrDown):
-		return errDown, err.Error()
-	case errors.Is(err, storage.ErrCapacity):
-		return errCapacity, err.Error()
-	case errors.Is(err, storage.ErrBadPath):
-		return errBadPath, err.Error()
-	case errors.Is(err, storage.ErrOverload):
-		return errOverload, err.Error()
-	case errors.Is(err, srb.ErrAuth):
-		return errAuth, err.Error()
-	case errors.Is(err, srb.ErrNoResource):
-		return errNoResource, err.Error()
-	case errors.Is(err, ErrWrongShard):
+	}
+	for _, c := range errCodes {
+		if errors.Is(err, c.sentinel) {
+			return c.code, err.Error()
+		}
+	}
+	if errors.Is(err, ErrWrongShard) {
 		// The wire message is the owner address, not prose: the
 		// client-side decode rebuilds the typed redirect from it.
 		var ws *WrongShardError
@@ -190,9 +195,8 @@ func encodeErr(err error) (errCode, string) {
 			return errWrongShard, ws.Addr
 		}
 		return errWrongShard, ""
-	default:
-		return errOther, err.Error()
 	}
+	return errOther, err.Error()
 }
 
 // wireError reconstructs a client-side error carrying both the sentinel
@@ -206,33 +210,20 @@ func (e *wireError) Error() string { return e.msg }
 func (e *wireError) Unwrap() error { return e.sentinel }
 
 func decodeErr(code errCode, msg string) error {
-	var sentinel error
 	switch code {
 	case errNone:
 		return nil
 	case errWrongShard:
 		return &WrongShardError{Addr: msg}
-	case errNotExist:
-		sentinel = storage.ErrNotExist
-	case errExist:
-		sentinel = storage.ErrExist
-	case errReadOnly:
-		sentinel = storage.ErrReadOnly
-	case errClosed:
-		sentinel = storage.ErrClosed
-	case errDown:
-		sentinel = storage.ErrDown
-	case errCapacity:
-		sentinel = storage.ErrCapacity
-	case errBadPath:
-		sentinel = storage.ErrBadPath
-	case errOverload:
-		sentinel = storage.ErrOverload
-	case errAuth:
-		sentinel = srb.ErrAuth
-	case errNoResource:
-		sentinel = srb.ErrNoResource
-	default:
+	}
+	var sentinel error
+	for _, c := range errCodes {
+		if c.code == code {
+			sentinel = c.sentinel
+			break
+		}
+	}
+	if sentinel == nil {
 		sentinel = errors.New("srbnet: remote error")
 	}
 	if msg == "" {

@@ -34,7 +34,6 @@ type Server struct {
 	sched  *qos.Scheduler
 	router ShardRouter
 
-	maxFrame   int
 	chunkBytes int
 
 	mu     sync.Mutex
@@ -85,18 +84,6 @@ func WithShardRouter(r ShardRouter) ServerOption {
 	return func(s *Server) { s.router = r }
 }
 
-// WithServerMaxFrame caps the declared body length the server accepts
-// for one inbound v3 frame, and bounds the buffer one opRead/opReadV/
-// opGetFile response may pin.  A frame over the cap is rejected before
-// any allocation and poisons the connection.  Default DefaultMaxFrame.
-func WithServerMaxFrame(n int) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.maxFrame = n
-		}
-	}
-}
-
 // WithServerChunkBytes sets the streaming threshold and chunk size for
 // v3 opGetFile responses: a file larger than this leaves the server as
 // a sequence of bounded chunk frames.  Default DefaultChunkBytes.
@@ -121,7 +108,6 @@ func Serve(addr string, broker *srb.Broker, sim *vtime.Sim, opts ...ServerOption
 		sim:        sim,
 		lis:        lis,
 		logf:       log.Printf,
-		maxFrame:   DefaultMaxFrame,
 		chunkBytes: DefaultChunkBytes,
 		conns:      make(map[net.Conn]struct{}),
 		sessions:   make(map[uint64]*srvSession),
@@ -277,7 +263,7 @@ func (s *Server) serveFrames(conn net.Conn, br *bufio.Reader) {
 	var hwg sync.WaitGroup
 	streams := make(map[uint64]chan *request)
 	for {
-		f, err := readFrame(br, s.maxFrame)
+		f, err := readFrame(br, DefaultMaxFrame)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.logf("srbnet: read frame from %s: %v", conn.RemoteAddr(), err)
@@ -525,8 +511,8 @@ func (s *Server) execute(ss *srvSession, proc *vtime.Proc, req *request, resp *r
 		if !ok {
 			return fail(storage.ErrClosed)
 		}
-		if req.N < 0 || req.N > s.maxFrame {
-			return fail(fmt.Errorf("srbnet: read of %d bytes exceeds frame cap %d", req.N, s.maxFrame))
+		if req.N < 0 || req.N > DefaultMaxFrame {
+			return fail(fmt.Errorf("srbnet: read of %d bytes exceeds frame cap %d", req.N, DefaultMaxFrame))
 		}
 		resp.dbuf = getFrame()
 		buf := resp.dbuf.grow(req.N)
@@ -561,8 +547,8 @@ func (s *Server) execute(ss *srvSession, proc *vtime.Proc, req *request, resp *r
 			}
 			total += v.N
 		}
-		if total > s.maxFrame {
-			return fail(fmt.Errorf("srbnet: vectored read of %d bytes exceeds frame cap %d", total, s.maxFrame))
+		if total > DefaultMaxFrame {
+			return fail(fmt.Errorf("srbnet: vectored read of %d bytes exceeds frame cap %d", total, DefaultMaxFrame))
 		}
 		resp.dbuf = getFrame()
 		base := resp.dbuf.grow(total)
@@ -619,9 +605,9 @@ func (s *Server) execute(ss *srvSession, proc *vtime.Proc, req *request, resp *r
 		if size > int64(s.chunkBytes) {
 			return s.streamGetFile(proc, req, resp, h, size, respq)
 		}
-		if size > int64(s.maxFrame) {
+		if size > int64(DefaultMaxFrame) {
 			h.Close(proc)
-			return fail(fmt.Errorf("srbnet: file %q (%d bytes) exceeds frame cap %d", req.Path, size, s.maxFrame))
+			return fail(fmt.Errorf("srbnet: file %q (%d bytes) exceeds frame cap %d", req.Path, size, DefaultMaxFrame))
 		}
 		resp.dbuf = getFrame()
 		buf := resp.dbuf.grow(int(size))

@@ -36,11 +36,13 @@ import (
 	"time"
 )
 
-// Wire v3 limits; see WithMaxFrame / WithChunkBytes and the server
-// options of the same names.
+// Wire v3 limits; see WithMaxFrame / WithChunkBytes and
+// WithServerChunkBytes.
 const (
 	// DefaultMaxFrame caps the declared body length of one decoded
-	// frame (and the byte count of one opRead/opReadV response).
+	// frame (and the byte count of one opRead/opReadV response).  The
+	// client's cap is WithMaxFrame; the server always applies this one,
+	// before allocating.
 	DefaultMaxFrame = 64 << 20
 	// DefaultChunkBytes is the streaming chunk size above which
 	// opPutFile/opGetFile bodies travel as a sequence of bounded

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // Metrics folds events into per-(backend, op) aggregates as they are
@@ -227,6 +229,30 @@ func (m *Metrics) Snapshot() []OpStats {
 		return out[i].Op < out[j].Op
 	})
 	return out
+}
+
+// Collect implements metrics.Collector: the snapshot as the
+// msra_native_* families — call, byte and summed-cost counters and the
+// approximate per-call cost quantiles, by backend and op.
+func (m *Metrics) Collect() ([]metrics.Family, error) {
+	snap := m.Snapshot()
+	calls := metrics.Counter("msra_native_calls_total", "Native storage calls served, by backend and op.")
+	bytes := metrics.Counter("msra_native_bytes_total", "Bytes moved by native calls.")
+	cost := metrics.Counter("msra_native_cost_seconds_total", "Summed simulated cost of native calls.")
+	quant := metrics.Family{Name: "msra_native_cost_seconds", Help: "Approximate per-call cost quantiles.", Type: "summary"}
+	for _, s := range snap {
+		l := []string{"backend", s.Backend, "op", string(s.Op)}
+		calls.Samples = append(calls.Samples, metrics.Int(s.Calls, l...))
+		bytes.Samples = append(bytes.Samples, metrics.Int(s.Bytes, l...))
+		cost.Samples = append(cost.Samples, metrics.Float(s.Cost.Seconds(), l...))
+		max := metrics.Float(s.CostMax.Seconds(), l...)
+		max.Suffix = "_max"
+		quant.Samples = append(quant.Samples,
+			metrics.Float(s.CostP50.Seconds(), append(l[:4:4], "quantile", "0.5")...),
+			metrics.Float(s.CostP95.Seconds(), append(l[:4:4], "quantile", "0.95")...),
+			max)
+	}
+	return []metrics.Family{calls, bytes, cost, quant}, nil
 }
 
 // String renders the snapshot as a table.

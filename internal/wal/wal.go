@@ -113,7 +113,7 @@ type Recovery struct {
 }
 
 // Stats is a point-in-time snapshot of journal activity, the source of
-// webui's msra_wal_* metric families.
+// the msra_wal_* metric families metadb.DB collects.
 type Stats struct {
 	Appends     uint64 // records appended this process
 	AppendBytes int64  // frame bytes appended

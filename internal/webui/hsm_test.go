@@ -15,9 +15,10 @@ import (
 	"repro/internal/vtime"
 )
 
-// TestHSMMetrics: WithHSM alone turns /metrics on and the msra_hsm_*
-// families carry real lifecycle counters — a migration and a recall
-// show up in the census, the mount counter and the hit/miss split.
+// TestHSMMetrics: the HSM engine as the only collector turns /metrics
+// on and the msra_hsm_* families carry real lifecycle counters — a
+// migration and a recall show up in the census, the mount counter and
+// the hit/miss split.
 func TestHSMMetrics(t *testing.T) {
 	sim := vtime.NewVirtual()
 	pool, err := remotedisk.New("pool", memfs.New())
@@ -51,7 +52,7 @@ func TestHSMMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	h, _ := newHandlerMeta(t, WithHSM(eng))
+	h, _ := newHandlerMeta(t, WithCollectors(eng))
 	code, body := get(t, h, "/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)

@@ -52,7 +52,7 @@ func TestQoSMetrics(t *testing.T) {
 	}
 
 	h, _ := tracedHandler(t)
-	WithQoS(sched)(h)
+	WithCollectors(sched)(h)
 	code, body := get(t, h, "/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
@@ -80,15 +80,15 @@ func TestQoSMetrics(t *testing.T) {
 	}
 }
 
-// TestQoSMetricsWithoutTraceMetrics: WithQoS alone is enough to turn
-// /metrics on.
+// TestQoSMetricsWithoutTraceMetrics: the scheduler as the only
+// collector is enough to turn /metrics on.
 func TestQoSMetricsWithoutTraceMetrics(t *testing.T) {
 	sched, err := qos.New(qos.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sched.Close()
-	h, _ := newHandlerMeta(t, WithQoS(sched))
+	h, _ := newHandlerMeta(t, WithCollectors(sched))
 	code, body := get(t, h, "/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)

@@ -11,8 +11,9 @@ import (
 	"repro/internal/wal"
 )
 
-// TestWALMetrics: WithWAL alone turns /metrics on and exports the
-// msra_wal_* families with live journal counters.
+// TestWALMetrics: a journaled metadb as the only collector turns
+// /metrics on and exports the msra_wal_* families with live journal
+// counters.
 func TestWALMetrics(t *testing.T) {
 	fsys := faultfs.New()
 	meta, err := metadb.OpenJournal(wal.Options{FS: fsys, Dir: "journal"})
@@ -27,7 +28,7 @@ func TestWALMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	h, _ := newHandlerMeta(t, WithWAL(meta.JournalStats))
+	h, _ := newHandlerMeta(t, WithCollectors(meta))
 	code, body := get(t, h, "/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics status = %d", code)
@@ -63,11 +64,11 @@ func TestWALMetricsAbsentWithoutOption(t *testing.T) {
 	}
 }
 
-// TestWALMetricsNotJournaled: WithWAL on a non-journaled DB reports
-// cleanly (stats func returns ok=false) without emitting families.
+// TestWALMetricsNotJournaled: a non-journaled DB as collector reports
+// cleanly (JournalStats returns ok=false) without emitting families.
 func TestWALMetricsNotJournaled(t *testing.T) {
 	meta := metadb.New()
-	h, _ := newHandlerMeta(t, WithWAL(meta.JournalStats))
+	h, _ := newHandlerMeta(t, WithCollectors(meta))
 	code, body := get(t, h, "/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics status = %d", code)

@@ -22,27 +22,19 @@ import (
 	"repro/internal/calib"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/hsm"
+	"repro/internal/metrics"
 	"repro/internal/predict"
-	"repro/internal/qos"
 	"repro/internal/sched"
 	"repro/internal/trace"
-	"repro/internal/wal"
-	"repro/internal/workflow"
 )
 
 // Handler renders the prediction window.
 type Handler struct {
-	pdb       *predict.DB
-	tmpl      *template.Template
-	metrics   *trace.Metrics
-	calib     *calib.Engine
-	qos       *qos.Scheduler
-	walStats  func() (wal.Stats, bool)
-	hsm       *hsm.Engine
-	wfDAG     *workflow.DAG
-	wfOverlap float64
-	wfPlan    *workflow.Plan
+	pdb        *predict.DB
+	tmpl       *template.Template
+	metrics    *trace.Metrics
+	calib      *calib.Engine
+	collectors []metrics.Collector
 }
 
 // Option configures optional handler features.
@@ -63,44 +55,13 @@ func WithCalibration(e *calib.Engine) Option {
 	return func(h *Handler) { h.calib = e }
 }
 
-// WithQoS attaches a request scheduler: /metrics gains the msra_qos_*
-// families — per-tenant queue depth, queued bytes, grant/overload
-// counters, wall wait and virtual service totals, plus the global
-// in-flight gauge and tape-batch counters.
-func WithQoS(s *qos.Scheduler) Option {
-	return func(h *Handler) { h.qos = s }
-}
-
-// WithWAL attaches a journal stats source (typically
-// (*metadb.DB).JournalStats): /metrics gains the msra_wal_* families —
-// append/fsync/rotation/compaction counters, replay cost, torn-tail
-// bytes and the last checkpoint timestamp.  Sources reporting ok=false
-// (no journal attached) emit nothing.
-func WithWAL(stats func() (wal.Stats, bool)) Option {
-	return func(h *Handler) { h.walStats = stats }
-}
-
-// WithHSM attaches a lifecycle engine: /metrics gains the msra_hsm_*
-// families — dataset census by state, pool occupancy against capacity,
-// migration/recall/GC/repack counters and the pool hit ratio inputs.
-func WithHSM(e *hsm.Engine) Option {
-	return func(h *Handler) { h.hsm = e }
-}
-
-// WithWorkflow attaches a stage DAG: /metrics gains the msra_workflow_*
-// families — the composed schedule at the given overlap (per-stage
-// start, duration and critical-path flag, plus the makespan).  The
-// prediction is re-evaluated from the handler's performance database at
-// every scrape, so calibration updates flow through.
-func WithWorkflow(g *workflow.DAG, overlap float64) Option {
-	return func(h *Handler) { h.wfDAG, h.wfOverlap = g, overlap }
-}
-
-// WithWorkflowPlan additionally attaches a provisioning plan: the
-// msra_workflow_* export gains the provisioned makespan, the cache
-// budget, per-stage working sets and the prefetch schedule summary.
-func WithWorkflowPlan(plan *workflow.Plan) Option {
-	return func(h *Handler) { h.wfPlan = plan }
+// WithCollectors attaches metric sources to /metrics, rendered in the
+// given order ahead of the trace and calibration families: a
+// *qos.Scheduler (msra_qos_*), a journaled *metadb.DB (msra_wal_*), an
+// *hsm.Engine (msra_hsm_*) or a workflow.Collector (msra_workflow_*).
+// Attaching any collector turns /metrics on.
+func WithCollectors(cs ...metrics.Collector) Option {
+	return func(h *Handler) { h.collectors = append(h.collectors, cs...) }
 }
 
 // New returns a handler over a measured predictor database.
@@ -253,296 +214,24 @@ func (h *Handler) residualsByResource(op string) map[string]calib.Residual {
 	return out
 }
 
-// serveMetrics renders the trace metrics (and calibration residuals
-// and scheduler gauges, when attached) in the Prometheus text
-// exposition format.
+// serveMetrics renders every attached collector, then the trace
+// metrics and their calibration join, in the Prometheus text exposition
+// format; 404 when nothing is attached.
 func (h *Handler) serveMetrics(w http.ResponseWriter, r *http.Request) {
-	if h.metrics == nil && h.qos == nil && h.walStats == nil && h.hsm == nil && h.wfDAG == nil {
+	cs := h.collectors
+	if h.metrics != nil {
+		// Capped so concurrent scrapes never append into h.collectors.
+		cs = append(cs[:len(cs):len(cs)], h.metrics)
+		if h.calib != nil {
+			cs = append(cs, h.calib.Collector(h.metrics))
+		}
+	}
+	if len(cs) == 0 {
 		http.Error(w, "metrics not enabled", http.StatusNotFound)
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var b strings.Builder
-	if h.qos != nil {
-		h.qosMetrics(&b)
-	}
-	if h.walStats != nil {
-		h.walMetrics(&b)
-	}
-	if h.hsm != nil {
-		h.hsmMetrics(&b)
-	}
-	if h.wfDAG != nil {
-		h.workflowMetrics(&b)
-	}
-	if h.metrics == nil {
-		fmt.Fprint(w, b.String())
-		return
-	}
-	b.WriteString("# HELP msra_native_calls_total Native storage calls served, by backend and op.\n")
-	b.WriteString("# TYPE msra_native_calls_total counter\n")
-	snap := h.metrics.Snapshot()
-	labels := func(s trace.OpStats) string {
-		return fmt.Sprintf(`backend=%q,op=%q`, s.Backend, string(s.Op))
-	}
-	for _, s := range snap {
-		fmt.Fprintf(&b, "msra_native_calls_total{%s} %d\n", labels(s), s.Calls)
-	}
-	b.WriteString("# HELP msra_native_bytes_total Bytes moved by native calls.\n")
-	b.WriteString("# TYPE msra_native_bytes_total counter\n")
-	for _, s := range snap {
-		fmt.Fprintf(&b, "msra_native_bytes_total{%s} %d\n", labels(s), s.Bytes)
-	}
-	b.WriteString("# HELP msra_native_cost_seconds_total Summed simulated cost of native calls.\n")
-	b.WriteString("# TYPE msra_native_cost_seconds_total counter\n")
-	for _, s := range snap {
-		fmt.Fprintf(&b, "msra_native_cost_seconds_total{%s} %g\n", labels(s), s.Cost.Seconds())
-	}
-	b.WriteString("# HELP msra_native_cost_seconds Approximate per-call cost quantiles.\n")
-	b.WriteString("# TYPE msra_native_cost_seconds summary\n")
-	for _, s := range snap {
-		fmt.Fprintf(&b, "msra_native_cost_seconds{%s,quantile=\"0.5\"} %g\n", labels(s), s.CostP50.Seconds())
-		fmt.Fprintf(&b, "msra_native_cost_seconds{%s,quantile=\"0.95\"} %g\n", labels(s), s.CostP95.Seconds())
-		fmt.Fprintf(&b, "msra_native_cost_seconds_max{%s} %g\n", labels(s), s.CostMax.Seconds())
-	}
-	if h.calib != nil {
-		residuals := h.calib.Residuals(snap)
-		b.WriteString("# HELP msra_calib_ratio Measured/predicted cost ratio per resource class and op.\n")
-		b.WriteString("# TYPE msra_calib_ratio gauge\n")
-		for _, res := range residuals {
-			fmt.Fprintf(&b, "msra_calib_ratio{resource=%q,op=%q} %g\n", res.Resource, res.Op, res.Ratio)
-		}
-		b.WriteString("# HELP msra_calib_drift Whether the residual left the calibration band (1 = drifted).\n")
-		b.WriteString("# TYPE msra_calib_drift gauge\n")
-		for _, res := range residuals {
-			v := 0
-			if res.Drift {
-				v = 1
-			}
-			fmt.Fprintf(&b, "msra_calib_drift{resource=%q,op=%q} %d\n", res.Resource, res.Op, v)
-		}
-	}
-	fmt.Fprint(w, b.String())
-}
-
-// qosMetrics renders the scheduler snapshot as msra_qos_* families.
-func (h *Handler) qosMetrics(b *strings.Builder) {
-	st := h.qos.Stats()
-	b.WriteString("# HELP msra_qos_inflight Requests currently executing under the scheduler.\n")
-	b.WriteString("# TYPE msra_qos_inflight gauge\n")
-	fmt.Fprintf(b, "msra_qos_inflight %d\n", st.InFlight)
-	b.WriteString("# HELP msra_qos_queue_depth Queued (not yet granted) requests per tenant.\n")
-	b.WriteString("# TYPE msra_qos_queue_depth gauge\n")
-	for _, t := range st.Tenants {
-		fmt.Fprintf(b, "msra_qos_queue_depth{tenant=%q} %d\n", t.Tenant, t.Depth)
-	}
-	b.WriteString("# HELP msra_qos_queued_bytes Queued payload bytes per tenant.\n")
-	b.WriteString("# TYPE msra_qos_queued_bytes gauge\n")
-	for _, t := range st.Tenants {
-		fmt.Fprintf(b, "msra_qos_queued_bytes{tenant=%q} %d\n", t.Tenant, t.QueuedBytes)
-	}
-	b.WriteString("# HELP msra_qos_granted_total Requests granted per tenant.\n")
-	b.WriteString("# TYPE msra_qos_granted_total counter\n")
-	for _, t := range st.Tenants {
-		fmt.Fprintf(b, "msra_qos_granted_total{tenant=%q} %d\n", t.Tenant, t.Granted)
-	}
-	b.WriteString("# HELP msra_qos_overload_total Requests shed by admission control per tenant.\n")
-	b.WriteString("# TYPE msra_qos_overload_total counter\n")
-	for _, t := range st.Tenants {
-		fmt.Fprintf(b, "msra_qos_overload_total{tenant=%q} %d\n", t.Tenant, t.Overloads)
-	}
-	b.WriteString("# HELP msra_qos_wait_seconds_total Wall time requests spent queued, per tenant.\n")
-	b.WriteString("# TYPE msra_qos_wait_seconds_total counter\n")
-	for _, t := range st.Tenants {
-		fmt.Fprintf(b, "msra_qos_wait_seconds_total{tenant=%q} %g\n", t.Tenant, t.Wait.Seconds())
-	}
-	b.WriteString("# HELP msra_qos_service_seconds_total Virtual service time of finished requests, per tenant.\n")
-	b.WriteString("# TYPE msra_qos_service_seconds_total counter\n")
-	for _, t := range st.Tenants {
-		fmt.Fprintf(b, "msra_qos_service_seconds_total{tenant=%q} %g\n", t.Tenant, t.Service.Seconds())
-	}
-	b.WriteString("# HELP msra_qos_tape_batches_total Cartridge batches formed by the tape lane.\n")
-	b.WriteString("# TYPE msra_qos_tape_batches_total counter\n")
-	fmt.Fprintf(b, "msra_qos_tape_batches_total %d\n", st.Batches)
-	b.WriteString("# HELP msra_qos_tape_batched_total Requests served through a cartridge batch.\n")
-	b.WriteString("# TYPE msra_qos_tape_batched_total counter\n")
-	fmt.Fprintf(b, "msra_qos_tape_batched_total %d\n", st.Batched)
-	b.WriteString("# HELP msra_qos_tape_batch_abandoned_total Batch members requeued by a layout generation change.\n")
-	b.WriteString("# TYPE msra_qos_tape_batch_abandoned_total counter\n")
-	fmt.Fprintf(b, "msra_qos_tape_batch_abandoned_total %d\n", st.BatchAbandoned)
-}
-
-// hsmMetrics renders the lifecycle engine snapshot as msra_hsm_*
-// families.
-func (h *Handler) hsmMetrics(b *strings.Builder) {
-	st := h.hsm.Stats()
-	b.WriteString("# HELP msra_hsm_datasets Tracked datasets by lifecycle state.\n")
-	b.WriteString("# TYPE msra_hsm_datasets gauge\n")
-	for _, s := range []struct {
-		state string
-		n     int
-	}{
-		{hsm.StateResident, st.Resident},
-		{hsm.StateDual, st.Dual},
-		{hsm.StateMigrated, st.Migrated},
-	} {
-		fmt.Fprintf(b, "msra_hsm_datasets{state=%q} %d\n", s.state, s.n)
-	}
-	b.WriteString("# HELP msra_hsm_pool_occupancy_bytes Disk-pool bytes held by resident copies and the recall cache.\n")
-	b.WriteString("# TYPE msra_hsm_pool_occupancy_bytes gauge\n")
-	fmt.Fprintf(b, "msra_hsm_pool_occupancy_bytes %d\n", st.PoolUsed)
-	b.WriteString("# HELP msra_hsm_pool_capacity_bytes Disk-pool capacity the watermarks apply to.\n")
-	b.WriteString("# TYPE msra_hsm_pool_capacity_bytes gauge\n")
-	fmt.Fprintf(b, "msra_hsm_pool_capacity_bytes %d\n", st.PoolCapacity)
-	b.WriteString("# HELP msra_hsm_migrations_total Datasets migrated disk to tape.\n")
-	b.WriteString("# TYPE msra_hsm_migrations_total counter\n")
-	fmt.Fprintf(b, "msra_hsm_migrations_total %d\n", st.Migrations)
-	b.WriteString("# HELP msra_hsm_migrated_bytes_total Bytes written to tape by migration.\n")
-	b.WriteString("# TYPE msra_hsm_migrated_bytes_total counter\n")
-	fmt.Fprintf(b, "msra_hsm_migrated_bytes_total %d\n", st.MigratedBytes)
-	b.WriteString("# HELP msra_hsm_migrate_failures_total Migration attempts rolled back to resident.\n")
-	b.WriteString("# TYPE msra_hsm_migrate_failures_total counter\n")
-	fmt.Fprintf(b, "msra_hsm_migrate_failures_total %d\n", st.MigrateFailures)
-	b.WriteString("# HELP msra_hsm_requeued_total Migration batch members requeued by a cartridge layout change.\n")
-	b.WriteString("# TYPE msra_hsm_requeued_total counter\n")
-	fmt.Fprintf(b, "msra_hsm_requeued_total %d\n", st.Requeued)
-	b.WriteString("# HELP msra_hsm_recalls_total Tape recalls served through the staging engine.\n")
-	b.WriteString("# TYPE msra_hsm_recalls_total counter\n")
-	fmt.Fprintf(b, "msra_hsm_recalls_total %d\n", st.Recalls)
-	b.WriteString("# HELP msra_hsm_recalled_bytes_total Bytes recalled from tape.\n")
-	b.WriteString("# TYPE msra_hsm_recalled_bytes_total counter\n")
-	fmt.Fprintf(b, "msra_hsm_recalled_bytes_total %d\n", st.RecalledBytes)
-	b.WriteString("# HELP msra_hsm_recall_p95_seconds Rolling p95 of recall latency.\n")
-	b.WriteString("# TYPE msra_hsm_recall_p95_seconds gauge\n")
-	fmt.Fprintf(b, "msra_hsm_recall_p95_seconds %g\n", st.RecallP95.Seconds())
-	b.WriteString("# HELP msra_hsm_gc_runs_total Watermark GC passes.\n")
-	b.WriteString("# TYPE msra_hsm_gc_runs_total counter\n")
-	fmt.Fprintf(b, "msra_hsm_gc_runs_total %d\n", st.GCRuns)
-	b.WriteString("# HELP msra_hsm_gc_purged_total Disk copies purged by GC (tape copy retained).\n")
-	b.WriteString("# TYPE msra_hsm_gc_purged_total counter\n")
-	fmt.Fprintf(b, "msra_hsm_gc_purged_total %d\n", st.GCPurged)
-	b.WriteString("# HELP msra_hsm_gc_bytes_total Disk bytes reclaimed by GC.\n")
-	b.WriteString("# TYPE msra_hsm_gc_bytes_total counter\n")
-	fmt.Fprintf(b, "msra_hsm_gc_bytes_total %d\n", st.GCBytes)
-	b.WriteString("# HELP msra_hsm_gc_stalls_total GC passes that could not reach the low watermark (all pinned or migration failing).\n")
-	b.WriteString("# TYPE msra_hsm_gc_stalls_total counter\n")
-	fmt.Fprintf(b, "msra_hsm_gc_stalls_total %d\n", st.GCStalls)
-	b.WriteString("# HELP msra_hsm_repacks_total Cartridge repacks (tape.Reclaim) triggered by the waste policy.\n")
-	b.WriteString("# TYPE msra_hsm_repacks_total counter\n")
-	fmt.Fprintf(b, "msra_hsm_repacks_total %d\n", st.Repacks)
-	b.WriteString("# HELP msra_hsm_repack_bytes_total Dead cartridge bytes reclaimed by repacks.\n")
-	b.WriteString("# TYPE msra_hsm_repack_bytes_total counter\n")
-	fmt.Fprintf(b, "msra_hsm_repack_bytes_total %d\n", st.RepackBytes)
-	b.WriteString("# HELP msra_hsm_reads_total Engine reads, by pool hit or tape miss.\n")
-	b.WriteString("# TYPE msra_hsm_reads_total counter\n")
-	fmt.Fprintf(b, "msra_hsm_reads_total{result=\"hit\"} %d\n", st.Hits)
-	fmt.Fprintf(b, "msra_hsm_reads_total{result=\"miss\"} %d\n", st.Misses)
-	b.WriteString("# HELP msra_hsm_mounts_total Robot mounts on the engine's tape library.\n")
-	b.WriteString("# TYPE msra_hsm_mounts_total counter\n")
-	fmt.Fprintf(b, "msra_hsm_mounts_total %d\n", st.Mounts)
-}
-
-// workflowMetrics renders the attached DAG's composed schedule (and,
-// with a plan, its provisioning summary) as msra_workflow_* families.
-func (h *Handler) workflowMetrics(b *strings.Builder) {
-	pred, err := h.wfDAG.PredictMakespan(h.pdb, h.wfOverlap)
-	if err != nil {
-		fmt.Fprintf(b, "# msra_workflow_* unavailable: %v\n", err)
-		return
-	}
-	b.WriteString("# HELP msra_workflow_overlap Producer/consumer overlap the schedule is composed at.\n")
-	b.WriteString("# TYPE msra_workflow_overlap gauge\n")
-	fmt.Fprintf(b, "msra_workflow_overlap %g\n", h.wfOverlap)
-	b.WriteString("# HELP msra_workflow_stage_start_seconds Predicted stage start within the composed schedule.\n")
-	b.WriteString("# TYPE msra_workflow_stage_start_seconds gauge\n")
-	for _, s := range pred.Stages {
-		fmt.Fprintf(b, "msra_workflow_stage_start_seconds{stage=%q} %g\n", s.Name, s.Start.Seconds())
-	}
-	b.WriteString("# HELP msra_workflow_stage_duration_seconds Predicted stage I/O duration (eq. 2).\n")
-	b.WriteString("# TYPE msra_workflow_stage_duration_seconds gauge\n")
-	for _, s := range pred.Stages {
-		fmt.Fprintf(b, "msra_workflow_stage_duration_seconds{stage=%q} %g\n", s.Name, s.Duration.Seconds())
-	}
-	b.WriteString("# HELP msra_workflow_stage_critical Whether the stage lies on the predicted critical path.\n")
-	b.WriteString("# TYPE msra_workflow_stage_critical gauge\n")
-	for _, s := range pred.Stages {
-		crit := 0
-		if s.Critical {
-			crit = 1
-		}
-		fmt.Fprintf(b, "msra_workflow_stage_critical{stage=%q} %d\n", s.Name, crit)
-	}
-	b.WriteString("# HELP msra_workflow_makespan_seconds Predicted critical-path makespan.\n")
-	b.WriteString("# TYPE msra_workflow_makespan_seconds gauge\n")
-	fmt.Fprintf(b, "msra_workflow_makespan_seconds %g\n", pred.Makespan.Seconds())
-	if h.wfPlan == nil {
-		return
-	}
-	plan := h.wfPlan
-	b.WriteString("# HELP msra_workflow_cache_budget_bytes Stage-cache byte budget the plan provisions.\n")
-	b.WriteString("# TYPE msra_workflow_cache_budget_bytes gauge\n")
-	fmt.Fprintf(b, "msra_workflow_cache_budget_bytes %d\n", plan.CacheBudget)
-	b.WriteString("# HELP msra_workflow_stage_working_set_bytes Predicted per-stage staged working set.\n")
-	b.WriteString("# TYPE msra_workflow_stage_working_set_bytes gauge\n")
-	for _, sb := range plan.Budgets {
-		fmt.Fprintf(b, "msra_workflow_stage_working_set_bytes{stage=%q} %d\n", sb.Stage, sb.WorkingSet)
-	}
-	b.WriteString("# HELP msra_workflow_prefetch_items DAG-edge prefetch instances the plan schedules.\n")
-	b.WriteString("# TYPE msra_workflow_prefetch_items gauge\n")
-	fmt.Fprintf(b, "msra_workflow_prefetch_items %d\n", len(plan.Prefetch))
-	b.WriteString("# HELP msra_workflow_prefetch_copy_p95_seconds 95th-percentile predicted per-instance stage-in time.\n")
-	b.WriteString("# TYPE msra_workflow_prefetch_copy_p95_seconds gauge\n")
-	fmt.Fprintf(b, "msra_workflow_prefetch_copy_p95_seconds %g\n", plan.PrefetchP95.Seconds())
-	b.WriteString("# HELP msra_workflow_placements Stage-private intermediates the plan relocates.\n")
-	b.WriteString("# TYPE msra_workflow_placements gauge\n")
-	fmt.Fprintf(b, "msra_workflow_placements %d\n", len(plan.Intermediates))
-	if prov, err := h.wfDAG.PredictMakespanProvisioned(h.pdb, plan, h.wfOverlap); err == nil {
-		b.WriteString("# HELP msra_workflow_makespan_provisioned_seconds Predicted makespan under the provisioning plan.\n")
-		b.WriteString("# TYPE msra_workflow_makespan_provisioned_seconds gauge\n")
-		fmt.Fprintf(b, "msra_workflow_makespan_provisioned_seconds %g\n", prov.Makespan.Seconds())
-	}
-}
-
-// walMetrics renders the journal stats as msra_wal_* families.
-func (h *Handler) walMetrics(b *strings.Builder) {
-	st, ok := h.walStats()
-	if !ok {
-		return
-	}
-	b.WriteString("# HELP msra_wal_appends_total Journal records appended.\n")
-	b.WriteString("# TYPE msra_wal_appends_total counter\n")
-	fmt.Fprintf(b, "msra_wal_appends_total %d\n", st.Appends)
-	b.WriteString("# HELP msra_wal_append_bytes_total Journal frame bytes appended.\n")
-	b.WriteString("# TYPE msra_wal_append_bytes_total counter\n")
-	fmt.Fprintf(b, "msra_wal_append_bytes_total %d\n", st.AppendBytes)
-	b.WriteString("# HELP msra_wal_fsyncs_total Fsync barriers issued on journal segments.\n")
-	b.WriteString("# TYPE msra_wal_fsyncs_total counter\n")
-	fmt.Fprintf(b, "msra_wal_fsyncs_total %d\n", st.Syncs)
-	b.WriteString("# HELP msra_wal_rotations_total Segment rotations.\n")
-	b.WriteString("# TYPE msra_wal_rotations_total counter\n")
-	fmt.Fprintf(b, "msra_wal_rotations_total %d\n", st.Rotations)
-	b.WriteString("# HELP msra_wal_compactions_total Snapshot+truncate compactions.\n")
-	b.WriteString("# TYPE msra_wal_compactions_total counter\n")
-	fmt.Fprintf(b, "msra_wal_compactions_total %d\n", st.Compactions)
-	b.WriteString("# HELP msra_wal_segments Live journal segment files.\n")
-	b.WriteString("# TYPE msra_wal_segments gauge\n")
-	fmt.Fprintf(b, "msra_wal_segments %d\n", st.Segments)
-	b.WriteString("# HELP msra_wal_replay_records Records replayed when the journal was opened.\n")
-	b.WriteString("# TYPE msra_wal_replay_records gauge\n")
-	fmt.Fprintf(b, "msra_wal_replay_records %d\n", st.ReplayRecords)
-	b.WriteString("# HELP msra_wal_replay_seconds Wall time recovery spent replaying the journal.\n")
-	b.WriteString("# TYPE msra_wal_replay_seconds gauge\n")
-	fmt.Fprintf(b, "msra_wal_replay_seconds %g\n", st.ReplayDuration.Seconds())
-	b.WriteString("# HELP msra_wal_torn_tail_bytes Bytes dropped from the final segment's torn tail at recovery.\n")
-	b.WriteString("# TYPE msra_wal_torn_tail_bytes gauge\n")
-	fmt.Fprintf(b, "msra_wal_torn_tail_bytes %d\n", st.TornTailBytes)
-	b.WriteString("# HELP msra_wal_last_checkpoint_timestamp_seconds Unix time of the last checkpoint (0 = none this process).\n")
-	b.WriteString("# TYPE msra_wal_last_checkpoint_timestamp_seconds gauge\n")
-	if st.LastCheckpoint.IsZero() {
-		b.WriteString("msra_wal_last_checkpoint_timestamp_seconds 0\n")
-	} else {
-		fmt.Fprintf(b, "msra_wal_last_checkpoint_timestamp_seconds %d\n", st.LastCheckpoint.Unix())
-	}
+	w.Header().Set("Content-Type", metrics.ContentType)
+	_ = metrics.Write(w, cs...) // fails only when the client has gone away
 }
 
 const pageTemplate = `<!DOCTYPE html>

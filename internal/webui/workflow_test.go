@@ -8,12 +8,13 @@ import (
 	"repro/internal/workflow"
 )
 
-// TestWorkflowMetrics: WithWorkflow alone turns /metrics on and the
-// msra_workflow_* families carry the composed schedule; attaching a
+// TestWorkflowMetrics: a workflow.Collector alone turns /metrics on and
+// the msra_workflow_* families carry the composed schedule; attaching a
 // plan adds the provisioning summary and the provisioned makespan.
 func TestWorkflowMetrics(t *testing.T) {
 	g := workflow.Pipeline(16, 12, 6, 4)
-	h, _ := newHandlerMeta(t, WithWorkflow(g, 0.5))
+	h, _ := newHandlerMeta(t)
+	WithCollectors(workflow.Collector{DAG: g, PDB: h.pdb, Overlap: 0.5})(h)
 	code, body := get(t, h, "/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
@@ -43,7 +44,8 @@ func TestWorkflowMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h3, _ := newHandlerMeta(t, WithWorkflow(g, 0.5), WithWorkflowPlan(plan))
+	h3, _ := newHandlerMeta(t)
+	WithCollectors(workflow.Collector{DAG: g, PDB: h3.pdb, Overlap: 0.5, Plan: plan})(h3)
 	code, body = get(t, h3, "/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)

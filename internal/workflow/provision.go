@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/hsm"
+	"repro/internal/metrics"
 	"repro/internal/predict"
 )
 
@@ -441,6 +442,59 @@ func (g *DAG) PredictMakespanProvisioned(pdb *predict.DB, plan *Plan, overlap fl
 		return Prediction{}, err
 	}
 	return Prediction{MakespanResult: ms, Runs: runs}, nil
+}
+
+// Collector exports a DAG's predicted schedule as the msra_workflow_*
+// families: per-stage start, duration and critical-path flag plus the
+// makespan at Overlap, and with a Plan the cache budget, per-stage
+// working sets, the prefetch summary and the provisioned makespan.  The
+// prediction is re-evaluated from PDB at every scrape, so calibration
+// updates flow through.
+type Collector struct {
+	DAG     *DAG
+	PDB     *predict.DB
+	Overlap float64
+	Plan    *Plan // optional
+}
+
+// Collect implements metrics.Collector.  A DAG that cannot be predicted
+// reports no families, only the error.
+func (c Collector) Collect() ([]metrics.Family, error) {
+	pred, err := c.DAG.PredictMakespan(c.PDB, c.Overlap)
+	if err != nil {
+		return nil, fmt.Errorf("msra_workflow_* unavailable: %w", err)
+	}
+	start := metrics.Gauge("msra_workflow_stage_start_seconds", "Predicted stage start within the composed schedule.")
+	dur := metrics.Gauge("msra_workflow_stage_duration_seconds", "Predicted stage I/O duration (eq. 2).")
+	crit := metrics.Gauge("msra_workflow_stage_critical", "Whether the stage lies on the predicted critical path.")
+	for _, s := range pred.Stages {
+		start.Samples = append(start.Samples, metrics.Float(s.Start.Seconds(), "stage", s.Name))
+		dur.Samples = append(dur.Samples, metrics.Float(s.Duration.Seconds(), "stage", s.Name))
+		crit.Samples = append(crit.Samples, metrics.Bool(s.Critical, "stage", s.Name))
+	}
+	fams := []metrics.Family{
+		metrics.Gauge("msra_workflow_overlap", "Producer/consumer overlap the schedule is composed at.", metrics.Float(c.Overlap)),
+		start, dur, crit,
+		metrics.Gauge("msra_workflow_makespan_seconds", "Predicted critical-path makespan.", metrics.Float(pred.Makespan.Seconds())),
+	}
+	plan := c.Plan
+	if plan == nil {
+		return fams, nil
+	}
+	ws := metrics.Gauge("msra_workflow_stage_working_set_bytes", "Predicted per-stage staged working set.")
+	for _, sb := range plan.Budgets {
+		ws.Samples = append(ws.Samples, metrics.Int(sb.WorkingSet, "stage", sb.Stage))
+	}
+	fams = append(fams,
+		metrics.Gauge("msra_workflow_cache_budget_bytes", "Stage-cache byte budget the plan provisions.", metrics.Int(plan.CacheBudget)),
+		ws,
+		metrics.Gauge("msra_workflow_prefetch_items", "DAG-edge prefetch instances the plan schedules.", metrics.Int(len(plan.Prefetch))),
+		metrics.Gauge("msra_workflow_prefetch_copy_p95_seconds", "95th-percentile predicted per-instance stage-in time.", metrics.Float(plan.PrefetchP95.Seconds())),
+		metrics.Gauge("msra_workflow_placements", "Stage-private intermediates the plan relocates.", metrics.Int(len(plan.Intermediates))))
+	if prov, err := c.DAG.PredictMakespanProvisioned(c.PDB, plan, c.Overlap); err == nil {
+		fams = append(fams, metrics.Gauge("msra_workflow_makespan_provisioned_seconds", "Predicted makespan under the provisioning plan.", metrics.Float(prov.Makespan.Seconds())))
+	}
+	return fams, nil
 }
 
 // PlanString renders the plan for the CLI.
